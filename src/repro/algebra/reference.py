@@ -8,11 +8,15 @@ genuinely different implementations of the same semantics; the figure-33
 benchmark uses it as the naive re-execution baseline.
 
 Tie-breaking follows the library-wide neighborhood order: ascending
-``(distance, pid)``.
+``(distance, pid)`` with the distance computed by ``math.hypot`` — the same
+function every index path ranks by, so two points whose squared distances
+round apart but whose distances round together tie here exactly as they do
+there.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 from repro.exceptions import UnsupportedQueryError
@@ -90,7 +94,7 @@ def _eval(
         keep = {
             p.pid
             for p in sorted(
-                distinct.values(), key=lambda p: (_d2(p, node.focal), p.pid)
+                distinct.values(), key=lambda p: (_dist(p, node.focal), p.pid)
             )[: node.k]
         }
         return [r for r in rows if r[col].pid in keep], width
@@ -100,7 +104,7 @@ def _eval(
         out: list[tuple] = []
         for row in rows:
             focal = row[-1]
-            nearest = sorted(inner, key=lambda p: (_d2(p, focal), p.pid))[: node.k]
+            nearest = sorted(inner, key=lambda p: (_dist(p, focal), p.pid))[: node.k]
             out.extend(row + (e2,) for e2 in nearest)
         return out, width + 1
     if isinstance(node, GridAggregate):
@@ -141,8 +145,8 @@ def _matches(p: Point, key: str, value: object) -> bool:
     return isinstance(payload, Mapping) and key in payload and payload[key] == value
 
 
-def _d2(p: Point, q: Point) -> float:
-    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+def _dist(p: Point, q: Point) -> float:
+    return math.hypot(p.x - q.x, p.y - q.y)
 
 
 def _cell(p: Point, frame: Rect, cps: int) -> tuple[int, int]:

@@ -108,6 +108,18 @@ class GridIndex(SpatialIndex):
         self._cell_width = bounds.width / self.cells_per_side
         self._cell_height = bounds.height / self.cells_per_side
         self._grid_bounds = bounds
+        # Points outside explicit bounds are clamped into border cells; the
+        # border cells' rectangles reach out to the data's extent so every
+        # block rectangle contains its members, which MINDIST ordering and
+        # window pruning both rely on.  Cell arithmetic is unaffected.
+        extent = bounds.union(
+            Rect(
+                float(store.xs.min()),
+                float(store.ys.min()),
+                float(store.xs.max()),
+                float(store.ys.max()),
+            )
+        )
 
         # Vectorized cell assignment over the coordinate columns.
         ix, iy = self._cells_of(store.xs, store.ys, bounds)
@@ -132,14 +144,14 @@ class GridIndex(SpatialIndex):
                 cell_members = members_by_cell.get(cy * self.cells_per_side + cx)
                 if cell_members is None and not keep_empty_cells:
                     continue
-                rect = self._cell_rect(cx, cy, bounds)
+                rect = self._cell_rect(cx, cy, bounds, extent)
                 block = Block(
                     block_id, rect, tag=(cx, cy), store=store, members=cell_members
                 )
                 blocks.append(block)
                 self._cell_to_block[(cx, cy)] = block
                 block_id += 1
-        self._finalize(blocks, bounds, store=store)
+        self._finalize(blocks, extent, store=store)
 
     # ------------------------------------------------------------------
     # Cell arithmetic
@@ -175,13 +187,18 @@ class GridIndex(SpatialIndex):
         iy = min(max(iy, 0), self.cells_per_side - 1)
         return ix, iy
 
-    def _cell_rect(self, ix: int, iy: int, bounds: Rect) -> Rect:
-        xmin = bounds.xmin + ix * self._cell_width
-        ymin = bounds.ymin + iy * self._cell_height
-        # Snap the last row/column to the exact bound to avoid FP gaps.
-        xmax = bounds.xmax if ix == self.cells_per_side - 1 else xmin + self._cell_width
-        ymax = bounds.ymax if iy == self.cells_per_side - 1 else ymin + self._cell_height
-        return Rect(xmin, ymin, xmax, ymax)
+    def _cell_rect(self, ix: int, iy: int, bounds: Rect, extent: Rect) -> Rect:
+        last = self.cells_per_side - 1
+        x0 = bounds.xmin + ix * self._cell_width
+        y0 = bounds.ymin + iy * self._cell_height
+        # Border rows/columns snap to the extent: the exact bound when the
+        # data lies inside it (no FP gaps), the data's reach when it does not.
+        return Rect(
+            extent.xmin if ix == 0 else x0,
+            extent.ymin if iy == 0 else y0,
+            extent.xmax if ix == last else x0 + self._cell_width,
+            extent.ymax if iy == last else y0 + self._cell_height,
+        )
 
     # ------------------------------------------------------------------
     # Incremental repair
@@ -202,13 +219,15 @@ class GridIndex(SpatialIndex):
 
         Declines (returns ``None``) when a new coordinate falls outside the
         grid extent — clamping it into an edge cell whose rectangle does not
-        contain it would break the MINDIST lower bound — or when a
-        destination cell was not materialized (``keep_empty_cells=False``).
+        contain it would break the MINDIST lower bound — when the index
+        already holds such points (its border rectangles were stretched to
+        them, which a rebuild would recompute), or when a destination cell
+        was not materialized (``keep_empty_cells=False``).
         """
         old_store = self._store
-        if old_store is None:
-            return None
         bounds = self._grid_bounds
+        if old_store is None or self._bounds != bounds:
+            return None
         removed = np.asarray(change.removed_rows, dtype=np.int64)
         moved_old = np.asarray(change.moved_rows, dtype=np.int64)
         n_new = len(store)

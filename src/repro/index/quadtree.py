@@ -80,13 +80,15 @@ class QuadtreeIndex(SpatialIndex):
         self.max_depth = int(max_depth)
         self._qt_store = store
 
-        if bounds is None:
-            bounds = Rect(
-                float(store.xs.min()),
-                float(store.ys.min()),
-                float(store.xs.max()),
-                float(store.ys.max()),
-            )
+        extent = Rect(
+            float(store.xs.min()),
+            float(store.ys.min()),
+            float(store.xs.max()),
+            float(store.ys.max()),
+        )
+        # Explicit bounds grow to cover points outside them, so every leaf
+        # rectangle contains its members.
+        bounds = extent if bounds is None else bounds.union(extent)
         # Make the root square (classic PR-quadtree) and non-degenerate.
         side = max(bounds.width, bounds.height)
         if side == 0:

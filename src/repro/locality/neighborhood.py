@@ -177,6 +177,21 @@ class Neighborhood:
         return self._pid_arr
 
     @property
+    def store(self) -> PointStore | None:
+        """The store :attr:`rows` index into (``None`` for eager neighborhoods)."""
+        return self._store
+
+    @property
+    def rows(self) -> np.ndarray | None:
+        """Member row indices into :attr:`store`, in ``(distance, pid)`` order.
+
+        ``None`` for eager neighborhoods (built from point objects, merged
+        across shards, or unpickled) — identify their members by
+        :attr:`pid_array` instead.
+        """
+        return self._rows
+
+    @property
     def is_full(self) -> bool:
         """True when the neighborhood actually holds ``k`` points."""
         return len(self._dist_arr) >= self.k

@@ -7,6 +7,8 @@ and the paper's optimized algorithms are assembled:
   focal point ``f``.
 * ``knn_join`` — ``E1 join_kNN E2``: all pairs ``(e1, e2)`` where ``e2`` is
   among the k closest points of ``E2`` to ``e1``.
+* ``range_select`` / ``radius_select`` — window and closed-ball selections
+  (``range_select_rows`` returns store row indices instead of points).
 * ``intersect_points`` / ``intersect_pairs_on_inner`` — plain set intersection
   and the paper's ``∩B`` (intersection of two pair sets on the shared inner
   relation).
@@ -15,7 +17,7 @@ and the paper's optimized algorithms are assembled:
 from repro.operators.results import JoinPair, JoinTriplet, pair_key, triplet_key
 from repro.operators.knn_select import knn_select
 from repro.operators.knn_join import knn_join, knn_join_pairs
-from repro.operators.range_select import radius_select, range_select
+from repro.operators.range_select import radius_select, range_select, range_select_rows
 from repro.operators.intersection import (
     intersect_points,
     intersect_pairs_on_inner,
@@ -31,6 +33,7 @@ __all__ = [
     "knn_join",
     "knn_join_pairs",
     "range_select",
+    "range_select_rows",
     "radius_select",
     "intersect_points",
     "intersect_pairs_on_inner",

@@ -36,11 +36,12 @@ from repro.exceptions import InvalidParameterError
 from repro.geometry.point import Point
 from repro.locality.neighborhood import Neighborhood
 from repro.operators.results import JoinPair, JoinTriplet, pair_key, triplet_key
+from repro.storage.pointstore import PointStore
 
 __all__ = [
     "merge_neighborhoods",
     "merge_knn_candidates",
-    "merge_point_partials",
+    "merge_pid_partials",
     "merge_pair_partials",
     "merge_triplet_partials",
 ]
@@ -98,16 +99,19 @@ def merge_knn_candidates(
     return Neighborhood(center, k, members, dists[order])
 
 
-def merge_point_partials(partials: Iterable[Sequence[Point]]) -> list[Point]:
-    """Concatenate per-shard point lists (e.g. range-select partials).
+def merge_pid_partials(store: PointStore, partials: Iterable[np.ndarray]) -> np.ndarray:
+    """Rows of ``store`` for per-shard pid arrays, in ascending pid order.
 
-    Shards are disjoint, so concatenation introduces no duplicates; the
-    result is sorted by ``pid`` to make the output independent of shard
-    enumeration order.
+    Shards ship the pids of their surviving rows (e.g. range-select
+    partials) and the coordinator addresses them in the relation's
+    authoritative store — no point crosses the shard boundary.  Shards are
+    disjoint, so concatenation introduces no duplicates, and the pid order
+    makes the output independent of shard enumeration order.
     """
-    merged = [p for part in partials for p in part]
-    merged.sort(key=lambda p: p.pid)
-    return merged
+    parts = [np.asarray(part, dtype=np.int64) for part in partials if len(part)]
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return store.rows_aligned(np.sort(np.concatenate(parts)))
 
 
 def merge_pair_partials(partials: Iterable[Sequence[JoinPair]]) -> list[JoinPair]:

@@ -6,33 +6,68 @@ attribute-based selection" as well.  These operators provide the range
 flavors; :mod:`repro.core.select_join.range_inner` adapts the Block-Marking
 idea to them.
 
-Per-point containment tests run columnar: a partially-overlapping block
-contributes a vectorized mask over its gathered coordinate columns and only
-the rows inside the window/ball are materialized as points.
+Both operators share one shape: a rows-returning core
+(:func:`range_select_rows` / :func:`radius_select_rows`) gathers the member
+rows of every block the index cannot prune and tests them with a single
+:mod:`repro.kernels` mask; the point-returning wrappers materialize exactly
+the surviving rows.  Columnar callers (the algebra evaluator, the shard
+workers) use the cores directly and never create a point object.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.core.stats import PruningStats
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import EmptyDatasetError, InvalidParameterError
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index.base import SpatialIndex
 from repro.index.block import Block
+from repro.storage.pointstore import PointStore
 
-__all__ = ["range_select", "radius_select"]
+__all__ = ["range_select", "range_select_rows", "radius_select", "radius_select_rows"]
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
-def _members_in_window(block: Block, window: Rect) -> list[Point]:
-    """Materialize only the block rows whose coordinates fall in ``window``."""
-    xs = block.store.xs[block.member_ids]
-    ys = block.store.ys[block.member_ids]
-    mask = (xs >= window.xmin) & (xs <= window.xmax) & (ys >= window.ymin) & (ys <= window.ymax)
-    if not mask.any():
-        return []
-    return block.store.materialize(block.member_ids[mask])
+def _shared_store(index: SpatialIndex) -> PointStore:
+    store = index.store
+    if store is None:
+        raise EmptyDatasetError("index has no shared store")
+    return store
+
+
+def _member_rows(blocks: list[Block]) -> np.ndarray:
+    """The concatenated member rows of ``blocks`` (block order preserved)."""
+    members = [block.member_ids for block in blocks if not block.is_empty]
+    if not members:
+        return _NO_ROWS
+    return np.concatenate(members).astype(np.int64, copy=False)
+
+
+def range_select_rows(
+    index: SpatialIndex, window: Rect, stats: "PruningStats | None" = None
+) -> np.ndarray:
+    """Rows of ``index.store`` whose point lies inside the closed ``window``.
+
+    Blocks whose rectangle does not intersect the window are skipped without
+    looking at their points; the rest are tested with one ``window_mask``
+    kernel call over their gathered coordinates.  ``stats`` (optional) counts
+    the blocks actually examined, for the engines' calibration feedback.
+    """
+    blocks = index.blocks_intersecting(window)
+    if stats is not None:
+        stats.blocks_examined += len(blocks)
+    rows = _member_rows(blocks)
+    if not len(rows):
+        return rows
+    store = _shared_store(index)
+    mask = kernels.window_mask(
+        store.xs[rows], store.ys[rows], window.xmin, window.ymin, window.xmax, window.ymax
+    )
+    return rows[mask]
 
 
 def range_select(
@@ -40,43 +75,40 @@ def range_select(
 ) -> list[Point]:
     """Return every indexed point inside the rectangular ``window``.
 
-    Blocks whose rectangle does not intersect the window are skipped without
-    looking at their points; blocks fully contained in the window contribute
-    all their points without per-point tests.  ``stats`` (optional) counts
-    the blocks actually examined, for the engines' calibration feedback.
+    The points of :func:`range_select_rows`, materialized.
     """
-    result: list[Point] = []
-    for block in index.blocks_intersecting(window):
-        if stats is not None:
-            stats.blocks_examined += 1
-        if block.is_empty:
-            continue
-        if window.contains_rect(block.rect):
-            result.extend(block.points)
-        else:
-            result.extend(_members_in_window(block, window))
-    return result
+    rows = range_select_rows(index, window, stats)
+    if not len(rows):
+        return []
+    return _shared_store(index).materialize(rows)
+
+
+def radius_select_rows(index: SpatialIndex, center: Point, radius: float) -> np.ndarray:
+    """Rows of ``index.store`` within ``radius`` of ``center`` (closed ball).
+
+    Blocks whose MINDIST exceeds the radius are skipped; the rest go through
+    one squared-space ``ball_mask`` kernel call, widened by
+    :data:`repro.kernels.HEAD_SLACK` so no boundary point is lost to rounding,
+    and the exact ``hypot`` test then runs on the survivors only.
+    """
+    if radius < 0:
+        raise InvalidParameterError("radius must be non-negative")
+    rows = _member_rows(index.blocks_within(center, radius))
+    if not len(rows):
+        return rows
+    store = _shared_store(index)
+    dx = store.xs[rows] - center.x
+    dy = store.ys[rows] - center.y
+    near = kernels.ball_mask(dx, dy, radius * radius * (1.0 + kernels.HEAD_SLACK))
+    return rows[near][np.hypot(dx[near], dy[near]) <= radius]
 
 
 def radius_select(index: SpatialIndex, center: Point, radius: float) -> list[Point]:
     """Return every indexed point within ``radius`` of ``center`` (closed ball).
 
-    Uses MINDIST/MAXDIST to skip blocks entirely outside the ball and to take
-    blocks entirely inside it without per-point distance tests.
+    The points of :func:`radius_select_rows`, materialized.
     """
-    if radius < 0:
-        raise InvalidParameterError("radius must be non-negative")
-    result: list[Point] = []
-    for block in index.blocks:
-        if block.is_empty:
-            continue
-        if block.mindist(center) > radius:
-            continue
-        if block.maxdist(center) <= radius:
-            result.extend(block.points)
-        else:
-            dists = block.store.distances_to(center.x, center.y, block.member_ids)
-            mask = dists <= radius
-            if mask.any():
-                result.extend(block.store.materialize(block.member_ids[mask]))
-    return result
+    rows = radius_select_rows(index, center, radius)
+    if not len(rows):
+        return []
+    return _shared_store(index).materialize(rows)

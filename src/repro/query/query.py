@@ -657,7 +657,7 @@ class Query:
         assert self.tree is not None
         optimized, _trail = rewritten_tree(self.tree)
         ctx = DatasetContext(datasets)
-        out = evaluate(optimized, ctx, ctx.stats)
+        out = evaluate(optimized, ctx)
         node_costs = tuple(
             (node.signature(datasets), cost) for node, cost in out.node_costs.items()
         )

@@ -35,7 +35,15 @@ import numpy as np
 from repro import kernels
 from repro.algebra.compile import rewritten_tree
 from repro.algebra.decompose import chain_window, local_decomposition
-from repro.algebra.evaluate import cell_of, evaluate, grid_rows, package_output, topk_rows
+from repro.algebra.evaluate import (
+    evaluate,
+    grid_cells,
+    grid_counts,
+    grid_rows,
+    package_output,
+    region_counts,
+    topk_rows,
+)
 from repro.algebra.tree import AlgebraNode, GridAggregate, RegionAggregate, TopK
 from repro.exceptions import StaleShardError, UnsupportedQueryError
 from repro.geometry.point import Point
@@ -47,10 +55,10 @@ from repro.operators.intersection import intersect_pairs_on_inner, intersect_poi
 from repro.operators.merge import (
     merge_neighborhoods,
     merge_pair_partials,
-    merge_point_partials,
+    merge_pid_partials,
     merge_triplet_partials,
 )
-from repro.operators.range_select import range_select
+from repro.operators.range_select import range_select_rows
 from repro.operators.results import JoinPair, JoinTriplet, pair_key
 from repro.core.stats import PruningStats
 from repro.planner.plan import PhysicalPlan
@@ -59,7 +67,8 @@ from repro.query.query import Query
 from repro.query.results import QueryResult
 from repro.shard.batch import sharded_knn_batch
 from repro.shard.dataset import ShardedDataset
-from repro.shard.knn import sharded_knn, sharded_range_select
+from repro.shard.knn import sharded_knn, sharded_range_rows
+from repro.storage.pointstore import PointStore
 
 __all__ = [
     "ShardTask",
@@ -170,7 +179,7 @@ def execute_shard_task(
         return (get_knn(driving.index, f1, k1), get_knn(driving.index, f2, k2))
     if task.kind == "range":
         (window,) = task.payload
-        return range_select(driving.index, window)
+        return driving.store.pids[range_select_rows(driving.index, window)]
     if task.kind == "join":
         inner_rel, k, select_pids, inner_window, outer_window = task.payload
         inner = datasets[inner_rel]
@@ -206,21 +215,15 @@ def execute_shard_task(
         return triplets
     if task.kind == "algebra":
         subtree, agg, bounds = task.payload
-        out = evaluate(subtree, _ShardLocalContext(driving, bounds))
-        points = [row[-1] for row in out.rows]
+        batch = evaluate(subtree, _ShardLocalContext(driving, bounds)).batch
+        store, rows = batch.column("point")
         if agg is None:
-            return points
+            return store.pids[rows]
         agg_kind, spec = agg
+        xs, ys = store.xs[rows], store.ys[rows]
         if agg_kind == "grid":
-            counts: dict[tuple[int, int], int] = {}
-            for p in points:
-                cell = cell_of(p, bounds, spec)
-                counts[cell] = counts.get(cell, 0) + 1
-            return counts
-        return {
-            name: sum(1 for p in points if rect.contains_point(p))
-            for name, rect in spec
-        }
+            return grid_counts(grid_cells(xs, ys, bounds, spec), spec)
+        return region_counts(spec, xs, ys)
     raise UnsupportedQueryError(f"unknown shard task kind {task.kind!r}")
 
 
@@ -239,14 +242,14 @@ class _ShardLocalContext:
         self._shard = shard
         self._bounds = bounds
 
-    def points(self, relation: str) -> list[Point]:
-        return list(self._shard.store.iter_points())
+    def store(self, relation: str) -> PointStore:
+        return self._shard.store
 
     def bounds(self, relation: str) -> Rect | None:
         return self._bounds
 
-    def range(self, relation: str, window: Rect) -> list[Point]:
-        return list(range_select(self._shard.index, window))
+    def range_rows(self, relation: str, window: Rect) -> np.ndarray:
+        return range_select_rows(self._shard.index, window)
 
     def knn(self, relation, focal, k):  # pragma: no cover - never dispatched
         raise UnsupportedQueryError("kNN subtrees are not shard-local")
@@ -379,18 +382,24 @@ class _Coordinator:
         partials = [p for p in self._run(tasks) if isinstance(p, Neighborhood)]
         return merge_neighborhoods(focal, k, partials)
 
-    def _fanout_range(self, relation: str, window: Rect) -> list[Point]:
-        """Global range select over every shard intersecting the window."""
+    def _fanout_range_rows(self, relation: str, window: Rect) -> np.ndarray:
+        """Base-store rows inside ``window``, pid-ordered, from every shard
+        intersecting it; workers ship pid arrays, not points."""
         sharded = self.datasets[relation]
         if not self.prefer_fanout:
-            return sharded_range_select(sharded, window)
+            return sharded_range_rows(sharded, window)
         versions = self._versions(relation)
         tasks = [
             ShardTask("range", relation, sid, (window,), versions)
             for sid, ds in sharded.populated()
             if ds.index.bounds.intersects(window)
         ]
-        return merge_point_partials(self._run(tasks))  # type: ignore[arg-type]
+        return merge_pid_partials(sharded.base.store, self._run(tasks))  # type: ignore[arg-type]
+
+    def _fanout_range(self, relation: str, window: Rect) -> list[Point]:
+        """Global range select, materialized from the authoritative store."""
+        rows = self._fanout_range_rows(relation, window)
+        return self.datasets[relation].base.store.materialize(rows)
 
     def _join_tasks(
         self,
@@ -503,9 +512,9 @@ class _Coordinator:
         Local-decomposable trees — filter chains over one scan, optionally
         under a spatial aggregate (and top-k) — fan out one task per driving
         shard: each worker evaluates the chain against its partition and
-        ships back either its surviving points or its **partial aggregate**
-        (per-cell / per-region counts), which the coordinator merges by
-        concatenation or summation.  Everything else (kNN filters, joins)
+        ships back either the pids of its surviving rows or its **partial
+        aggregate** (per-cell / per-region counts), which the coordinator
+        merges by concatenation or summation.  Everything else (kNN filters, joins)
         evaluates coordinator-side through a context whose kNN entry points
         are the exact cross-shard primitives (border expansion / batched
         fan-out), so results match unsharded execution row for row.
@@ -514,7 +523,7 @@ class _Coordinator:
         local = local_decomposition(optimized)
         if local is not None:
             return self._algebra_fanout(strategy, local)
-        out = evaluate(optimized, _CoordinatorEvalContext(self), self.work)
+        out = evaluate(optimized, _CoordinatorEvalContext(self))
         return QueryResult(
             strategy=strategy,
             query_class="algebra",
@@ -550,11 +559,12 @@ class _Coordinator:
         ]
         partials = self._run(tasks)
         if agg is None:
-            points = merge_point_partials(partials)  # type: ignore[arg-type]
+            store = sharded.base.store
+            rows = merge_pid_partials(store, partials)  # type: ignore[arg-type]
             return QueryResult(
                 strategy=strategy,
                 query_class="algebra",
-                points=tuple(points),
+                points=tuple(store.materialize(rows)),
                 stats=self.work,
             )
         counts: dict = {}
@@ -666,17 +676,19 @@ def relation_bounds(sharded: ShardedDataset) -> Rect | None:
 class _CoordinatorEvalContext:
     """Eval context answering from the shard runtime, coordinator-side.
 
-    Scans and bounds come from the authoritative base dataset; kNN entry
+    Stores and bounds come from the authoritative base dataset; kNN entry
     points are the exact cross-shard primitives (border expansion and the
-    batched fan-out), and range selects fan out per shard — so a tree that
-    is not local-decomposable still returns exactly the unsharded rows.
+    batched fan-out), whose shard-addressed neighborhoods the evaluator
+    re-addresses in the base store by pid, and range selects fan out per
+    shard — so a tree that is not local-decomposable still returns exactly
+    the unsharded rows.
     """
 
     def __init__(self, coordinator: "_Coordinator") -> None:
         self._c = coordinator
 
-    def points(self, relation: str) -> list[Point]:
-        return list(self._c.datasets[relation].base.store.iter_points())
+    def store(self, relation: str) -> PointStore:
+        return self._c.datasets[relation].base.store
 
     def bounds(self, relation: str) -> Rect | None:
         return relation_bounds(self._c.datasets[relation])
@@ -688,8 +700,8 @@ class _CoordinatorEvalContext:
         self._c.work.neighborhoods_computed += len(coords)
         return sharded_knn_batch(self._c.datasets[relation], coords, k)
 
-    def range(self, relation: str, window: Rect) -> list[Point]:
-        return self._c._fanout_range(relation, window)
+    def range_rows(self, relation: str, window: Rect) -> np.ndarray:
+        return self._c._fanout_range_rows(relation, window)
 
 
 def sharded_execute(

@@ -27,8 +27,6 @@ in ``docs/operators.md``.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
 import numpy as np
 
 from repro.exceptions import EmptyDatasetError, InvalidParameterError
@@ -36,11 +34,11 @@ from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.locality.knn import get_knn
 from repro.locality.neighborhood import Neighborhood
-from repro.operators.merge import merge_neighborhoods, merge_point_partials
-from repro.operators.range_select import range_select
+from repro.operators.merge import merge_neighborhoods, merge_pid_partials
+from repro.operators.range_select import range_select_rows
 from repro.shard.dataset import ShardedDataset
 
-__all__ = ["sharded_knn", "sharded_range_select"]
+__all__ = ["sharded_knn", "sharded_range_rows", "sharded_range_select"]
 
 
 def sharded_knn(sharded: ShardedDataset, p: Point, k: int) -> Neighborhood:
@@ -103,17 +101,26 @@ def sharded_knn(sharded: ShardedDataset, p: Point, k: int) -> Neighborhood:
     return merge_neighborhoods(p, k, parts)
 
 
-def sharded_range_select(sharded: ShardedDataset, window: Rect) -> list[Point]:
-    """Every point of the sharded relation inside the rectangular ``window``.
+def sharded_range_rows(sharded: ShardedDataset, window: Rect) -> np.ndarray:
+    """Base-store rows of every point inside ``window``, in ``pid`` order.
 
     Shards whose extent does not intersect the window are skipped without
     touching their index; the survivors run the ordinary block-pruned
-    ``range_select``.  The merged result is the same point set as the
-    unsharded operator, in canonical ``pid`` order.
+    ``range_select_rows`` and contribute the pids of their hits, which are
+    then addressed in the relation's authoritative (base) store.
     """
-    partials: list[Sequence[Point]] = []
-    for _sid, ds in sharded.populated():
-        if not ds.index.bounds.intersects(window):
-            continue
-        partials.append(range_select(ds.index, window))
-    return merge_point_partials(partials)
+    partials = [
+        ds.store.pids[range_select_rows(ds.index, window)]
+        for _sid, ds in sharded.populated()
+        if ds.index.bounds.intersects(window)
+    ]
+    return merge_pid_partials(sharded.base.store, partials)
+
+
+def sharded_range_select(sharded: ShardedDataset, window: Rect) -> list[Point]:
+    """Every point of the sharded relation inside the rectangular ``window``.
+
+    The same point set as the unsharded operator, in canonical ``pid``
+    order: the rows of :func:`sharded_range_rows`, materialized.
+    """
+    return sharded.base.store.materialize(sharded_range_rows(sharded, window))

@@ -14,6 +14,11 @@ ranking and intersection as vectorized numpy kernels over gathered columns.
   that actually reach a query answer (the materialization boundary described
   in ``docs/storage.md``).
 
+Payload attributes are columnar too: :meth:`PointStore.payload_equals` tests
+``payload[key] == value`` for any set of rows against a lazily built,
+dictionary-encoded per-key column, so attribute filters never touch payload
+objects row by row.
+
 Stores are immutable snapshots: every "mutation" (:meth:`extended`,
 :meth:`without_rows`) returns a new store, so blocks and neighborhoods built
 against an old version keep reading consistent data after a dataset mutation.
@@ -23,6 +28,7 @@ the same row returns the same object.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,6 +37,9 @@ from repro.exceptions import GeometryError, InvalidParameterError
 from repro.geometry.point import Point
 
 __all__ = ["PointStore", "aligned_rows"]
+
+#: Marks "this payload has no such key" while building a payload column.
+_ABSENT = object()
 
 
 def aligned_rows(
@@ -78,7 +87,15 @@ class PointStore:
         vectorized pass.
     """
 
-    __slots__ = ("xs", "ys", "pids", "payloads", "_points", "_pid_order")
+    __slots__ = (
+        "xs",
+        "ys",
+        "pids",
+        "payloads",
+        "_points",
+        "_pid_order",
+        "_payload_columns",
+    )
 
     def __init__(
         self,
@@ -105,6 +122,10 @@ class PointStore:
         #: Lazily built argsort of the pid column for O(log n) pid lookups;
         #: ``None`` until first use, ``False`` when pids are not unique.
         self._pid_order: np.ndarray | bool | None = None
+        #: Lazily built per-key payload columns: key → (int32 code per row
+        #: with ``-1`` = no such attribute, distinct values by code, and
+        #: hashable value → code).  See :meth:`payload_equals`.
+        self._payload_columns: dict[str, tuple[np.ndarray, list, dict]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -230,6 +251,74 @@ class PointStore:
         return aligned_rows(self.pids, wanted, order)
 
     # ------------------------------------------------------------------
+    # Payload attribute columns
+    # ------------------------------------------------------------------
+    def _payload_column(self, key: str) -> tuple[np.ndarray, list, dict]:
+        """The dictionary-encoded value column of payload attribute ``key``.
+
+        One pass over the sparse side-table, cached per key for the life of
+        the snapshot.  Values that compare (and hash) equal share a code;
+        unhashable values each get a code of their own.
+        """
+        column = self._payload_columns.get(key)
+        if column is None:
+            codes = np.full(len(self.xs), -1, dtype=np.int32)
+            values: list = []
+            index: dict = {}
+            rows: list[int] = []
+            row_codes: list[int] = []
+            for row, payload in self.payloads.items():
+                # Exact dicts (the common payload) skip the ABC check.
+                if type(payload) is not dict and not isinstance(payload, Mapping):
+                    continue
+                value = payload.get(key, _ABSENT)
+                if value is _ABSENT:
+                    continue
+                try:
+                    code = index.get(value)
+                    if code is None:
+                        code = index[value] = len(values)
+                        values.append(value)
+                except TypeError:  # unhashable value
+                    code = len(values)
+                    values.append(value)
+                rows.append(row)
+                row_codes.append(code)
+            if rows:
+                codes[rows] = row_codes
+            column = self._payload_columns[key] = (codes, values, index)
+        return column
+
+    def payload_equals(
+        self, key: str, value: Any, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Mask of the (selected) rows whose payload has ``payload[key] == value``.
+
+        Rows without a mapping payload, or whose payload lacks ``key``, never
+        match — the semantics of the algebra's ``AttrFilter``.
+        """
+        codes, values, index = self._payload_column(key)
+        column = codes if rows is None else codes[rows]
+        try:
+            hit = index.get(value)
+        except TypeError:  # unhashable probe: compare against every value
+            hit = None
+            all_indexed = False
+        else:
+            all_indexed = len(index) == len(values)
+        if all_indexed:
+            # Every stored value is hashable, so one dictionary probe finds
+            # the only candidate; ``==`` still decides (NaN equals nothing).
+            matches = [hit] if hit is not None and values[hit] == value else []
+        else:
+            matches = [code for code, stored in enumerate(values) if stored == value]
+        if not matches:
+            return np.zeros(len(column), dtype=bool)
+        if len(matches) == 1:
+            return column == matches[0]
+        return np.isin(column, matches)
+
+    # ------------------------------------------------------------------
     # Materialization boundary
     # ------------------------------------------------------------------
     def _ensure_cache(self) -> list[Point | None]:
@@ -253,8 +342,12 @@ class PointStore:
 
     def materialize(self, rows: Sequence[int] | np.ndarray) -> list[Point]:
         """Materialize point objects for ``rows`` (result boundary)."""
+        cache = self._ensure_cache()
         point_at = self.point_at
-        return [point_at(int(r)) for r in rows]
+        index = rows.tolist() if isinstance(rows, np.ndarray) else [int(r) for r in rows]
+        # Already-materialized rows are one list lookup; only misses pay
+        # for a Point construction.
+        return [cache[row] or point_at(row) for row in index]
 
     def iter_points(self) -> Iterator[Point]:
         """Iterate over every row as a (cached) :class:`Point`."""
@@ -322,6 +415,7 @@ class PointStore:
             raise GeometryError("point coordinates must be finite")
         child = PointStore(new_xs, new_ys, self.pids, self.payloads, validate=False)
         child._pid_order = self._pid_order  # pid column unchanged
+        child._payload_columns = self._payload_columns  # side-table shared
         if len(self._points) == len(self.xs):
             cache = list(self._points)
             for row in idx.tolist():

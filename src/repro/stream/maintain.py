@@ -53,8 +53,8 @@ from repro.algebra.decompose import (
     local_decomposition,
     scan_guards,
 )
-from repro.algebra.evaluate import _attr_match, cell_of, grid_rows, topk_rows
-from repro.algebra.tree import AlgebraNode, GridAggregate, RangeFilter, Scan
+from repro.algebra.evaluate import chain_mask, grid_cells, grid_rows, topk_rows
+from repro.algebra.tree import GridAggregate
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.locality.neighborhood import Neighborhood
@@ -577,41 +577,41 @@ class AlgebraAggregateState:
             self._counts = {}
         else:
             self._counts = {name: 0 for name, _rect in self._agg.regions}
-        for point in ctx.store(self._relation).iter_points():
-            self._add_point(point)
+        store = ctx.store(self._relation)
+        every_row = np.arange(len(store), dtype=np.int64)
+        for pid, keys in self._member_keys(store, every_row).items():
+            self._add(pid, keys)
         self._rows = None
 
-    # -- per-point membership -------------------------------------------
-    def _accepts(self, point: Point) -> bool:
-        """Evaluate the filter chain on one point (same semantics as eval)."""
-        node = self._chain
-        while not isinstance(node, Scan):
-            if isinstance(node, RangeFilter):
-                if not node.window.contains_point(point):
-                    return False
-            else:  # AttrFilter
-                if not _attr_match(point, node.key, node.value):
-                    return False
-            node = node.child
-        return True
+    # -- membership -----------------------------------------------------
+    def _member_keys(self, store: PointStore, rows: np.ndarray) -> dict[int, tuple]:
+        """Group keys, by pid, of the ``rows`` that pass the filter chain.
 
-    def _group_keys(self, point: Point) -> tuple:
+        One vectorized pass (the evaluator's own chain masks and cell ids)
+        over the candidate rows; rows that pass the chain but land in no
+        region are not members.
+        """
+        rows = rows[chain_mask(self._chain, store, rows)]
+        xs, ys = store.xs[rows], store.ys[rows]
         if isinstance(self._agg, GridAggregate):
-            return (cell_of(point, self._bounds, self._agg.cells_per_side),)
-        return tuple(
-            name for name, rect in self._agg.regions if rect.contains_point(point)
-        )
+            cps = self._agg.cells_per_side
+            cells = grid_cells(xs, ys, self._bounds, cps).tolist()
+            keys = [(divmod(cell, cps),) for cell in cells]
+        else:
+            names = [name for name, _rect in self._agg.regions]
+            hits = [_in_window(rect, xs, ys).tolist() for _name, rect in self._agg.regions]
+            keys = [
+                tuple(name for name, hit in zip(names, row_hits) if hit)
+                for row_hits in zip(*hits)
+            ]
+        return {
+            pid: groups for pid, groups in zip(store.pids[rows].tolist(), keys) if groups
+        }
 
-    def _add_point(self, point: Point) -> bool:
-        if not self._accepts(point):
-            return False
-        keys = self._group_keys(point)
-        if not keys:  # passes the chain but lands in no region
-            return False
-        self._groups[point.pid] = keys
+    def _add(self, pid: int, keys: tuple) -> None:
+        self._groups[pid] = keys
         for key in keys:
             self._counts[key] = self._counts.get(key, 0) + 1
-        return True
 
     def _drop_pid(self, pid: int) -> bool:
         keys = self._groups.pop(pid, None)
@@ -635,20 +635,16 @@ class AlgebraAggregateState:
             if not _in_window(self._window, cand_xs, cand_ys).any():
                 return SKIPPED
         changed = False
-        for pid in applied.removed_pids.tolist():
+        for pid in applied.removed_pids.tolist() + applied.moved_pids.tolist():
             changed |= self._drop_pid(pid)
+        # Inserted and moved points re-test the chain where they are now.
         store = ctx.store(self._relation)
-        if len(applied.moved_pids):
-            rows = aligned_rows(store.pids, applied.moved_pids)
-            for pid, row in zip(applied.moved_pids.tolist(), rows.tolist()):
-                changed |= self._drop_pid(pid)
-                if row >= 0:
-                    changed |= self._add_point(store.point_at(row))
-        if len(applied.inserted_pids):
-            rows = aligned_rows(store.pids, applied.inserted_pids)
-            for row in rows.tolist():
-                if row >= 0:
-                    changed |= self._add_point(store.point_at(row))
+        placed = store.rows_aligned(
+            np.concatenate((applied.moved_pids, applied.inserted_pids))
+        )
+        for pid, keys in self._member_keys(store, placed[placed >= 0]).items():
+            self._add(pid, keys)
+            changed = True
         if not changed:
             return SKIPPED
         self._rows = None

@@ -102,3 +102,22 @@ class TestIntersection:
         a = make()
         b = Neighborhood(Point(9, 9), 3, list(reversed(MEMBERS)), [1.0, 2.0, 3.0])
         assert [p.pid for p in a.intersection(b)] == [1, 2, 3]
+
+
+class TestRowAccessors:
+    def test_lazy_neighborhood_exposes_its_store_rows(self):
+        import numpy as np
+
+        from repro.storage.pointstore import PointStore
+
+        store = PointStore.from_points([Point(0.0, 0.0, 5), Point(3.0, 4.0, 6)])
+        nbr = Neighborhood.from_rows(
+            Point(0.0, 0.0), 2, store, np.array([0, 1]), np.array([0.0, 5.0])
+        )
+        assert nbr.store is store
+        assert nbr.rows.tolist() == [0, 1]
+        assert nbr.pid_array.tolist() == [5, 6]
+
+    def test_eager_neighborhood_has_no_rows(self):
+        nbr = make()
+        assert nbr.store is None and nbr.rows is None

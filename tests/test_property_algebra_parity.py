@@ -4,7 +4,12 @@ The algebra's end-to-end soundness argument: Hypothesis composes random
 operator trees (depth ≤ 3 above the scans — filter chains, kNN joins,
 spatial aggregates, top-k, in every legal combination) over uniform /
 clustered / duplicate-coordinate (lattice) data with payload attributes,
-and every layer must reproduce the independent reference evaluator's rows:
+and every layer must reproduce the independent reference evaluator's rows.
+The strategies deliberately reach the evaluator's edge cases: points outside
+the declared bounds (clamped into border cells), coordinates exactly on grid
+cell and window edges, points with no payload or a non-mapping payload,
+``k`` at or above the candidate count, and fences that contain nothing.
+The layers:
 
 * the unsharded engine (rewrite rules + compiled plan + index evaluator),
 * the serial sharded engine (local decomposition, partial aggregation and
@@ -47,6 +52,14 @@ KINDS = ("red", "blue")
 
 UNIFORM = st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 LATTICE = st.integers(min_value=0, max_value=6).map(float)
+#: Beyond the declared bounds on every side: grid cells and index blocks clamp.
+OUTSIDE = st.floats(min_value=-15.0, max_value=115.0, allow_nan=False, allow_infinity=False)
+#: Every cell edge of every grid resolution the trees use (2..8 per side);
+#: window corners are drawn from the same set, so points sit exactly on both.
+EDGES = st.sampled_from(sorted({i * 100.0 / c for c in range(2, 9) for i in range(c + 1)}))
+#: Payloads beyond the well-formed mapping: absent, not a mapping, missing the
+#: key, or holding an unhashable value — none of which may ever match.
+ODD_PAYLOADS = (None, "red", ("kind", "red"), {"other": "red"}, {"kind": ["red"]})
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -58,6 +71,10 @@ needs_fork = pytest.mark.skipif(
 def coordinates(draw, flavor: str):
     if flavor == "lattice":
         return (draw(LATTICE), draw(LATTICE))
+    if flavor == "outside":
+        return (draw(OUTSIDE), draw(OUTSIDE))
+    if flavor == "edges":
+        return (draw(EDGES), draw(EDGES))
     if flavor == "clustered":
         cx, cy = draw(st.sampled_from([(20.0, 20.0), (70.0, 60.0), (40.0, 85.0)]))
         off = st.floats(min_value=-9.0, max_value=9.0, allow_nan=False)
@@ -70,7 +87,20 @@ def coordinates(draw, flavor: str):
 
 @st.composite
 def windows(draw):
-    x0, y0 = draw(UNIFORM), draw(UNIFORM)
+    kind = draw(st.sampled_from(["free", "free", "edges", "beyond", "empty"]))
+    if kind == "empty":  # a fence beyond every point any flavor generates
+        return Rect(200.0, 200.0, 230.0, 230.0)
+    if kind == "beyond":  # a strip holding only points outside the bounds
+        return draw(
+            st.sampled_from(
+                [Rect(100.5, -20.0, 120.0, 120.0), Rect(-20.0, -20.0, 120.0, -0.5)]
+            )
+        )
+    if kind == "edges":
+        xs = draw(st.lists(EDGES, min_size=2, max_size=2, unique=True))
+        ys = draw(st.lists(EDGES, min_size=2, max_size=2, unique=True))
+        return Rect(min(xs), min(ys), max(xs), max(ys))
+    x0, y0 = draw(OUTSIDE), draw(OUTSIDE)  # may lie wholly beyond the bounds
     w = draw(st.floats(min_value=1.0, max_value=60.0, allow_nan=False))
     h = draw(st.floats(min_value=1.0, max_value=60.0, allow_nan=False))
     return Rect(x0, y0, min(x0 + w, 120.0), min(y0 + h, 120.0))
@@ -89,7 +119,9 @@ def point_filters(draw, child: AlgebraNode, max_filters: int = 2):
             )
         else:
             fx, fy = draw(coordinates("uniform"))
-            child = KnnFilter(child, Point(fx, fy), draw(st.integers(1, 8)))
+            # 64 exceeds every relation: k at or above the subset size.
+            k = draw(st.one_of(st.integers(1, 8), st.just(64)))
+            child = KnnFilter(child, Point(fx, fy), k)
     return child
 
 
@@ -99,7 +131,7 @@ def algebra_trees(draw):
     tree: AlgebraNode = draw(point_filters(Scan("a")))
     shape = draw(st.sampled_from(["points", "join", "grid", "region", "join_agg"]))
     if shape in ("join", "join_agg"):
-        tree = KnnJoinOp(tree, Scan("b"), draw(st.integers(1, 4)))
+        tree = KnnJoinOp(tree, Scan("b"), draw(st.sampled_from([1, 2, 3, 4, 12])))
         if draw(st.booleans()):
             tree = RangeFilter(tree, draw(windows()), on=draw(st.sampled_from(["point", "outer"])))
         if shape == "join" and draw(st.booleans()):
@@ -123,12 +155,17 @@ def algebra_trees(draw):
 
 @st.composite
 def datasets(draw):
-    flavor = draw(st.sampled_from(["uniform", "lattice", "clustered"]))
+    flavor = draw(
+        st.sampled_from(["uniform", "lattice", "clustered", "outside", "edges"])
+    )
     n_a = draw(st.integers(8, 30))
-    pts_a = [
-        Point(*draw(coordinates(flavor)), i, {"kind": KINDS[i % 2]})
-        for i in range(n_a)
-    ]
+    odd = draw(st.booleans())
+    pts_a = []
+    for i in range(n_a):
+        payload = {"kind": KINDS[i % 2]}
+        if odd and draw(st.booleans()):
+            payload = draw(st.sampled_from(ODD_PAYLOADS))
+        pts_a.append(Point(*draw(coordinates(flavor)), i, payload))
     n_b = draw(st.integers(3, 8))
     pts_b = [
         Point(*draw(coordinates("uniform")), 100_000 + i, {"kind": KINDS[i % 2]})
@@ -145,8 +182,10 @@ def scenarios(draw):
 
 
 def _register(engine, pts_a, pts_b):
-    engine.register(name="a", points=pts_a, bounds=BOUNDS)
-    engine.register(name="b", points=pts_b, bounds=BOUNDS)
+    # A 4x4 grid even over these small relations, so block pruning (and the
+    # clamping of out-of-bounds points into border blocks) is really in play.
+    engine.register(name="a", points=pts_a, bounds=BOUNDS, cells_per_side=4)
+    engine.register(name="b", points=pts_b, bounds=BOUNDS, cells_per_side=4)
     return engine
 
 
@@ -201,19 +240,16 @@ def stream_scenarios(draw):
     next_pid = [1000]
     for _ in range(draw(st.integers(1, 3))):
         relation = draw(st.sampled_from(["a", "a", "b"]))
+        # Updates land outside the bounds and on cell/window edges too.
+        placed = coordinates(draw(st.sampled_from(["uniform", "outside", "edges"])))
         inserts = []
         for _ in range(draw(st.integers(0, 4))):
-            x, y = draw(coordinates("uniform"))
+            x, y = draw(placed)
             pid = next_pid[0] + (100_000 if relation == "b" else 0)
             next_pid[0] += 1
             inserts.append(Point(x, y, pid, {"kind": draw(st.sampled_from(KINDS))}))
         remove_idx = draw(st.lists(st.integers(0, 10_000), max_size=2))
-        moves = draw(
-            st.lists(
-                st.tuples(st.integers(0, 10_000), st.tuples(UNIFORM, UNIFORM)),
-                max_size=3,
-            )
-        )
+        moves = draw(st.lists(st.tuples(st.integers(0, 10_000), placed), max_size=3))
         batches.append((relation, inserts, remove_idx, moves))
     return pts_a, pts_b, trees, batches
 
@@ -222,9 +258,7 @@ def stream_scenarios(draw):
 @settings(max_examples=20, deadline=None)
 def test_algebra_stream_maintenance_matches_reference(scenario):
     pts_a, pts_b, trees, batches = scenario
-    stream = StreamEngine(SpatialEngine())
-    stream.register(name="a", points=pts_a, bounds=BOUNDS)
-    stream.register(name="b", points=pts_b, bounds=BOUNDS)
+    stream = _register(StreamEngine(SpatialEngine()), pts_a, pts_b)
     queries = [Query.from_tree(tree) for tree in trees]
     subs = [stream.subscribe(q) for q in queries]
     replayed = [set(sub.result()) for sub in subs]

@@ -57,11 +57,85 @@ class TestMaterialization:
         assert first == Point(1.0, 2.0, 7)
         assert store.point_at(0) is first
 
+    def test_materialize_mixes_cached_and_fresh_rows(self):
+        store = PointStore(
+            np.array([1.0, 2.0, 3.0]), np.zeros(3), np.array([7, 8, 9], dtype=np.int64)
+        )
+        middle = store.point_at(1)
+        got = store.materialize(np.array([2, 1, 2]))
+        assert [p.pid for p in got] == [9, 8, 9]
+        assert got[1] is middle and got[0] is got[2]
+
     def test_payload_survives_materialization(self):
         store = PointStore(
             np.array([1.0]), np.array([2.0]), np.array([7], dtype=np.int64), {0: "cafe"}
         )
         assert store.point_at(0).payload == "cafe"
+
+
+class TestPayloadColumns:
+    """``payload_equals``: ``AttrFilter`` semantics over an encoded column."""
+
+    PAYLOADS = {
+        0: {"kind": "bus"},
+        1: {"kind": "taxi", "seats": 4},
+        # row 2 carries no payload at all
+        3: "bus",  # not a mapping
+        4: {"seats": 4},  # mapping without the key
+        5: {"kind": ["bus"]},  # unhashable value
+        6: {"kind": 1},
+        7: {"kind": True},
+        8: {"kind": float("nan")},
+    }
+
+    def store(self) -> PointStore:
+        n = 9
+        return PointStore(
+            np.arange(n, dtype=np.float64),
+            np.zeros(n),
+            np.arange(n, dtype=np.int64),
+            dict(self.PAYLOADS),
+        )
+
+    @staticmethod
+    def expected(payloads, n, key, value):
+        return [
+            isinstance(payloads.get(r), dict)
+            and key in payloads[r]
+            and bool(payloads[r][key] == value)
+            for r in range(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "value", ["bus", "taxi", "tram", 1, 1.0, True, ["bus"], ("bus",), float("nan"), None]
+    )
+    def test_matches_per_row_semantics(self, value):
+        got = self.store().payload_equals("kind", value)
+        assert got.dtype == bool
+        assert got.tolist() == self.expected(self.PAYLOADS, 9, "kind", value)
+
+    def test_row_subset_and_other_keys(self):
+        store = self.store()
+        rows = np.array([7, 1, 1, 0])
+        assert store.payload_equals("kind", "taxi", rows).tolist() == [False, True, True, False]
+        assert store.payload_equals("seats", 4).tolist() == self.expected(
+            self.PAYLOADS, 9, "seats", 4
+        )
+        assert not store.payload_equals("absent", 4).any()
+        assert PointStore.empty().payload_equals("kind", "bus").tolist() == []
+
+    def test_snapshots_share_or_rebuild_the_column(self):
+        store = self.store()
+        store.payload_equals("kind", "bus")
+        moved = store.moved([0], [50.0], [50.0])
+        # Same rows, same side-table: the encoded column is shared ...
+        assert moved._payload_columns is store._payload_columns
+        assert moved.payload_equals("kind", "bus").tolist() == store.payload_equals(
+            "kind", "bus"
+        ).tolist()
+        # ... while a re-rowed snapshot answers from its own rows.
+        taken = store.take([1, 0])
+        assert taken.payload_equals("kind", "bus").tolist() == [False, True]
 
 
 class TestColumnAccess:
