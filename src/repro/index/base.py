@@ -40,6 +40,7 @@ class SpatialIndex(abc.ABC):
         self._block_bounds: np.ndarray = np.empty((0, 4), dtype=np.float64)
         self._block_counts: np.ndarray = np.empty(0, dtype=np.int64)
         self._row_block_ids: np.ndarray | None = None
+        self._block_members: tuple[np.ndarray, ...] | None = None
         self._num_points = 0
 
     # ------------------------------------------------------------------
@@ -68,6 +69,7 @@ class SpatialIndex(abc.ABC):
             self._block_bounds = np.empty((0, 4), dtype=np.float64)
             self._block_counts = np.empty(0, dtype=np.int64)
         self._num_points = int(self._block_counts.sum())
+        self._block_members = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -106,6 +108,17 @@ class SpatialIndex(abc.ABC):
         phases of the core algorithms) all read from this one table.
         """
         return self._block_bounds
+
+    @property
+    def block_members(self) -> tuple[np.ndarray, ...]:
+        """Per-block member-row arrays, aligned with :attr:`blocks` (cached).
+
+        The batched kNN gathers candidate rows by block position on every
+        call; indexes are immutable, so the tuple is built once.
+        """
+        if self._block_members is None:
+            self._block_members = tuple(b.member_ids for b in self._blocks)
+        return self._block_members
 
     @property
     def store(self) -> PointStore | None:

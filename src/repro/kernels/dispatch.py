@@ -229,6 +229,12 @@ def knn_head(xs, ys, pids, rows, px, py, k):
     Returns ``(selected_rows, distances)`` sorted by ``(distance, pid)``,
     at most ``k`` long; ``xs``/``ys``/``pids`` are full store columns and
     ``rows`` indexes the candidates.
+
+    ``px``/``py`` are scalars (one focal) or ``(g,)`` arrays — a group of
+    focals ranked over the same candidates, returned as
+    ``(g, min(k, len(rows)))`` arrays whose row ``i`` equals the scalar call
+    for focal ``i`` bit for bit.  A group is **one** dispatch: the counter
+    counts ranking calls, not focals.
     """
     _counters["knn_head"].inc()
     return _impls["knn_head"](xs, ys, pids, rows, px, py, k)

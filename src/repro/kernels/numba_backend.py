@@ -114,17 +114,22 @@ def make_backend() -> Mapping[str, Callable]:
         return sel, out_d
 
     def knn_head(xs, ys, pids, rows, px, py, k):
+        xs = np.ascontiguousarray(xs, dtype=np.float64)
+        ys = np.ascontiguousarray(ys, dtype=np.float64)
+        pids = np.ascontiguousarray(pids, dtype=np.int64)
         rows64 = np.ascontiguousarray(rows, dtype=np.int64)
-        return _knn_head_jit(
-            np.ascontiguousarray(xs, dtype=np.float64),
-            np.ascontiguousarray(ys, dtype=np.float64),
-            np.ascontiguousarray(pids, dtype=np.int64),
-            rows64,
-            float(px),
-            float(py),
-            int(k),
-            HEAD_SLACK,
-        )
+        if isinstance(px, np.ndarray):
+            # A group of focals over one candidate set: every row is exactly
+            # min(k, n) long, so the per-focal results stack.
+            width = min(int(k), len(rows64))
+            out_rows = np.empty((len(px), width), dtype=np.int64)
+            out_dists = np.empty((len(px), width), dtype=np.float64)
+            for i in range(len(px)):
+                out_rows[i], out_dists[i] = _knn_head_jit(
+                    xs, ys, pids, rows64, float(px[i]), float(py[i]), int(k), HEAD_SLACK
+                )
+            return out_rows, out_dists
+        return _knn_head_jit(xs, ys, pids, rows64, float(px), float(py), int(k), HEAD_SLACK)
 
     @njit(cache=False)
     def _block_matrices_jit(cx, cy, bxmin, bymin, bxmax, bymax):

@@ -11,7 +11,9 @@ Numerical contracts that parity tests rely on:
 - ``knn_head`` prefilters on *squared* distances, widens the k-th boundary by
   :data:`HEAD_SLACK` relative slack, and ranks only the head by exact
   ``np.hypot`` distance with ``(distance, pid)`` lexicographic tie-break —
-  identical to fully sorting all candidates by true distance.
+  identical to fully sorting all candidates by true distance.  Given ``(g,)``
+  focal arrays it ranks the whole group over the shared candidates and
+  returns ``(g, min(k, n))`` arrays, each row bit for bit the scalar call.
 - ``block_matrices`` works in squared-distance space with correctly-rounded
   (hence monotone) clamped per-axis gaps; ``point_block_mindists`` /
   ``point_block_maxdists`` return true (``hypot``) distances.
@@ -36,13 +38,18 @@ __all__ = ["HEAD_SLACK", "make_backend"]
 HEAD_SLACK = 1e-13
 
 
+#: Upper bound on the elements of one ``(group x candidates)`` scratch matrix
+#: in the grouped ``knn_head`` path (512 KiB of float64: cache-resident).
+_GROUP_ELEMS = 1 << 16
+
+
 def _knn_head(
     xs: np.ndarray,
     ys: np.ndarray,
     pids: np.ndarray,
     rows: np.ndarray,
-    px: float,
-    py: float,
+    px: float | np.ndarray,
+    py: float | np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact ``(distance, pid)`` top-k over candidate store rows.
@@ -50,7 +57,14 @@ def _knn_head(
     Returns ``(selected_rows, distances)`` sorted by ``(distance, pid)``,
     at most ``k`` long.  ``xs``/``ys``/``pids`` are full store columns;
     ``rows`` indexes the candidates.
+
+    ``px``/``py`` are one focal point (scalars) or a group of ``g`` focals
+    sharing the candidate set (``(g,)`` arrays); a group returns
+    ``(g, min(k, len(rows)))`` arrays whose row ``i`` is bit for bit the
+    scalar call for focal ``i``.
     """
+    if isinstance(px, np.ndarray):
+        return _knn_head_group(xs, ys, pids, rows, px, py, k)
     dx = xs[rows] - px
     dy = ys[rows] - py
     n = len(rows)
@@ -65,6 +79,67 @@ def _knn_head(
     dists = np.hypot(dx, dy)
     idx = np.lexsort((pids[rows], dists))
     return rows[idx], dists[idx]
+
+
+def _knn_head_group(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    pids: np.ndarray,
+    rows: np.ndarray,
+    px: np.ndarray,
+    py: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_knn_head`` for ``g`` focals over one shared candidate set.
+
+    The candidate columns are gathered once; squared distances are a
+    ``(g x n)`` matrix built in sub-chunks of at most :data:`_GROUP_ELEMS`
+    elements inside two reused scratch buffers, the k-th boundary is a
+    row-wise ``argpartition``, and only the k-wide head gets exact ``hypot``
+    distances and the ``(distance, pid)`` lexsort.  A focal whose slack
+    boundary holds more than ``k`` candidates (ties) is redone by the scalar
+    path.  Outputs are fresh arrays, never views into the scratch.
+    """
+    n = len(rows)
+    g = len(px)
+    width = min(k, n)
+    out_rows = np.empty((g, width), dtype=rows.dtype)
+    out_dists = np.empty((g, width), dtype=np.float64)
+    cx = xs[rows]
+    cy = ys[rows]
+    cpids = pids[rows]
+    step = max(1, _GROUP_ELEMS // max(n, 1))
+    if n > k:
+        scratch = np.empty((2, min(step, g), n), dtype=np.float64)
+    for start in range(0, g, step):
+        stop = min(start + step, g)
+        qx = px[start:stop, None]
+        qy = py[start:stop, None]
+        local = np.arange(stop - start)[:, None]
+        if n > k:
+            d2, dy2 = scratch[:, : stop - start]
+            np.subtract(cx, qx, out=d2)
+            np.subtract(cy, qy, out=dy2)
+            np.multiply(d2, d2, out=d2)
+            np.multiply(dy2, dy2, out=dy2)
+            np.add(d2, dy2, out=d2)
+            ap = np.argpartition(d2, k - 1, axis=1)
+            limit = d2[local, ap[:, k - 1 : k]] * (1.0 + HEAD_SLACK)
+            wide = np.nonzero((d2 <= limit).sum(axis=1) > k)[0]
+            # Candidate positions in ascending order, as the scalar nonzero().
+            head = np.sort(ap[:, :k], axis=1)
+            dists = np.hypot(cx[head] - qx, cy[head] - qy)
+            order = np.lexsort((cpids[head], dists), axis=1)
+            out_rows[start:stop] = rows[head[local, order]]
+            out_dists[start:stop] = dists[local, order]
+            for i in wide + start:
+                out_rows[i], out_dists[i] = _knn_head(xs, ys, pids, rows, px[i], py[i], k)
+        else:
+            dists = np.hypot(cx - qx, cy - qy)
+            order = np.lexsort((np.broadcast_to(cpids, dists.shape), dists), axis=1)
+            out_rows[start:stop] = rows[order]
+            out_dists[start:stop] = dists[local, order]
+    return out_rows, out_dists
 
 
 def _block_matrices(

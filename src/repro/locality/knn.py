@@ -175,6 +175,9 @@ def rank_rows(
     k plus boundary ties — gets the exact ``hypot`` distances and the final
     ``(distance, pid)`` ranking, so the result is identical to fully sorting
     all candidates by true distance regardless of backend.
+
+    This is the one-focal form; :func:`~repro.locality.batch.get_knn_batch`
+    hands the same kernel a whole group of focals that share ``rows``.
     """
     sel, dists = kernels.knn_head(store.xs, store.ys, store.pids, rows, p.x, p.y, k)
     return Neighborhood.from_rows(p, k, store, sel, dists)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -132,3 +135,28 @@ def test_dispatch_registry_reaches_obs_hub():
     from repro.obs import hub
 
     assert kernels.dispatch_registry() in hub.registries()
+
+
+def test_grouped_knn_head_counts_one_dispatch():
+    kernels.set_backend("numpy")
+    xs = np.array([0.0, 1.0, 2.0])
+    pids = np.array([10, 11, 12], dtype=np.int64)
+    rows = np.array([0, 1, 2], dtype=np.int64)
+    before = dispatch.counter_values()
+    sel, dists = kernels.knn_head(xs, xs, pids, rows, np.array([0.1, 1.9]), np.array([0.1, 1.9]), 2)
+    (delta,) = dispatch.counter_deltas(before)
+    assert (delta["labels"]["kernel"], delta["delta"]) == ("knn_head", 1)
+    assert sel.tolist() == [[0, 1], [2, 1]]
+    assert dists.shape == (2, 2)
+
+
+def test_every_kernel_has_a_benchmark_catalog_entry():
+    """``perf/`` derives ``kernels.<name>_us`` from ``KERNEL_NAMES`` and a
+    traced run raises ``KeyError`` on a name ``BENCHMARK.json`` lacks — fail
+    here instead, before the benchmark does."""
+    catalog = json.loads(
+        (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
+    )
+    per_layer = {metric["name"] for metric in catalog["per_layer"]}
+    assert {f"kernels.{name}_us" for name in kernels.KERNEL_NAMES} <= per_layer
+    assert len(kernels.KERNEL_NAMES) == 7
