@@ -4,7 +4,7 @@ Each benchmark module reproduces one figure of the paper's evaluation at a
 single representative sweep point and a reduced dataset scale, so that the
 whole ``pytest benchmarks/ --benchmark-only`` run finishes in minutes.  The
 full parameter sweeps (all x-axis points, larger data) are produced by
-``python -m repro.bench --all``; see EXPERIMENTS.md.
+``python -m repro.bench --all``.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ Evaluates a tree with plain Python loops over materialized point lists — no
 index, no kernels, no rewrite rules, no fast paths.  Every operator is
 implemented independently of :mod:`repro.algebra.evaluate`, so the Hypothesis
 parity suite (``tests/test_property_algebra_parity.py``) cross-checks two
-genuinely different implementations of the same semantics; the figure-33
-benchmark uses it as the naive re-execution baseline.
+genuinely different implementations of the same semantics.
 
 Tie-breaking follows the library-wide neighborhood order: ascending
 ``(distance, pid)`` with the distance computed by ``math.hypot`` — the same

@@ -30,7 +30,7 @@ how the durable tier warms algebra plans across restarts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.exceptions import InvalidParameterError, InvalidPlanError
@@ -158,17 +158,6 @@ def _validate_on(node: AlgebraNode, on: str, child: AlgebraNode) -> None:
         raise InvalidParameterError(
             f"{type(node).__name__}.on='outer' is only meaningful above a join"
         )
-
-
-def _filter_target(node: AlgebraNode) -> str:
-    """Relation a filter's tested column comes from (honors ``on``)."""
-    on = getattr(node, "on", "point")
-    child = node.children()[0]
-    if on == "outer":
-        while isinstance(child, KnnJoinOp):
-            child = child.outer
-        return child.target_relation()
-    return child.target_relation()
 
 
 @dataclass(frozen=True)
@@ -518,8 +507,3 @@ def tree_from_signature(entry: tuple) -> AlgebraNode:
         raise
     except (TypeError, ValueError, IndexError) as exc:
         raise InvalidParameterError(f"malformed algebra signature: {entry!r}") from exc
-
-
-def replace_child(node: AlgebraNode, **changes: object) -> AlgebraNode:
-    """``dataclasses.replace`` for nodes (re-runs ``__post_init__`` checks)."""
-    return replace(node, **changes)

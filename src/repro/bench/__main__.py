@@ -20,16 +20,7 @@ import sys
 from repro.bench.figures import run_and_format, run_all_figures
 from repro.bench.harness import FigureResult
 from repro.bench.plotting import format_ascii_chart
-from repro.bench.workloads import (
-    ALGEBRA_FIGURE,
-    ALL_FIGURES,
-    COLUMNAR_SPEEDUP_FIGURE,
-    ENGINE_THROUGHPUT_FIGURE,
-    KERNELS_FANOUT_FIGURE,
-    PLANNER_CALIBRATION_FIGURE,
-    SHARDED_THROUGHPUT_FIGURE,
-    STREAM_THROUGHPUT_FIGURE,
-)
+from repro.bench.workloads import ALL_FIGURES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,25 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument(
         "--figure",
         type=int,
-        choices=ALL_FIGURES
-        + (
-            ENGINE_THROUGHPUT_FIGURE,
-            SHARDED_THROUGHPUT_FIGURE,
-            COLUMNAR_SPEEDUP_FIGURE,
-            STREAM_THROUGHPUT_FIGURE,
-            PLANNER_CALIBRATION_FIGURE,
-            KERNELS_FANOUT_FIGURE,
-            ALGEBRA_FIGURE,
-        ),
-        help=(
-            f"reproduce a single figure ({ENGINE_THROUGHPUT_FIGURE} = engine "
-            f"throughput, {SHARDED_THROUGHPUT_FIGURE} = sharded throughput, "
-            f"{COLUMNAR_SPEEDUP_FIGURE} = columnar speedup, "
-            f"{STREAM_THROUGHPUT_FIGURE} = stream throughput, "
-            f"{PLANNER_CALIBRATION_FIGURE} = planner calibration, "
-            f"{KERNELS_FANOUT_FIGURE} = kernel-tier fan-out, "
-            f"{ALGEBRA_FIGURE} = algebra pushdown; all beyond the paper)"
-        ),
+        choices=ALL_FIGURES,
+        help="reproduce a single figure",
     )
     target.add_argument("--all", action="store_true", help="reproduce every figure")
     parser.add_argument(

@@ -5,26 +5,9 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.bench.harness import FigureResult, format_table, run_figure
-from repro.bench.workloads import (
-    ALGEBRA_FIGURE,
-    ALL_FIGURES,
-    COLUMNAR_SPEEDUP_FIGURE,
-    ENGINE_THROUGHPUT_FIGURE,
-    PLANNER_CALIBRATION_FIGURE,
-    SHARDED_THROUGHPUT_FIGURE,
-    STREAM_THROUGHPUT_FIGURE,
-)
+from repro.bench.workloads import ALL_FIGURES
 
-__all__ = [
-    "run_and_format",
-    "run_all_figures",
-    "run_engine_throughput",
-    "run_sharded_throughput",
-    "run_columnar_speedup",
-    "run_stream_throughput",
-    "run_planner_calibration",
-    "run_algebra_pushdown",
-]
+__all__ = ["run_and_format", "run_all_figures"]
 
 
 def run_and_format(
@@ -52,133 +35,3 @@ def run_all_figures(
     for figure in figures:
         out[figure] = run_and_format(figure, scale=scale, repeats=repeats, progress=progress)
     return out
-
-
-def run_engine_throughput(
-    scale: float = 0.05,
-    repeats: int = 1,
-    sweep_values: tuple | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[FigureResult, str]:
-    """Run the engine-throughput workload (engine-cached vs cold ``Query.run``).
-
-    This is not a paper figure; it measures what the ``repro.engine`` layer
-    adds on top of the paper's algorithms when the same query shape repeats.
-    """
-    return run_and_format(
-        ENGINE_THROUGHPUT_FIGURE,
-        scale=scale,
-        repeats=repeats,
-        sweep_values=sweep_values,
-        progress=progress,
-    )
-
-
-def run_sharded_throughput(
-    scale: float = 0.05,
-    repeats: int = 1,
-    sweep_values: tuple | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[FigureResult, str]:
-    """Run the sharded-throughput workload (sharded vs single-partition engine).
-
-    This is not a paper figure; it sweeps the shard count of
-    :class:`repro.shard.ShardedEngine` on a clustered kNN-join workload
-    against the unsharded ``SpatialEngine``.  Speedup comes from smaller
-    per-shard indexes plus — on multi-core hosts — parallel shard tasks.
-    """
-    return run_and_format(
-        SHARDED_THROUGHPUT_FIGURE,
-        scale=scale,
-        repeats=repeats,
-        sweep_values=sweep_values,
-        progress=progress,
-    )
-
-
-def run_columnar_speedup(
-    scale: float = 0.05,
-    repeats: int = 1,
-    sweep_values: tuple | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[FigureResult, str]:
-    """Run the columnar-speedup workload (PointStore kNN vs object path).
-
-    This is not a paper figure; it quantifies what the structure-of-arrays
-    refactor buys on a kNN-heavy batch against the seed's object-tuple
-    representation (kept in the tree as the parity oracle).
-    """
-    return run_and_format(
-        COLUMNAR_SPEEDUP_FIGURE,
-        scale=scale,
-        repeats=repeats,
-        sweep_values=sweep_values,
-        progress=progress,
-    )
-
-
-def run_stream_throughput(
-    scale: float = 0.05,
-    repeats: int = 1,
-    sweep_values: tuple | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[FigureResult, str]:
-    """Run the stream-throughput workload (incremental vs per-tick re-execution).
-
-    This is not a paper figure; it measures what the ``repro.stream`` layer
-    buys on a continuous workload — standing kNN/range queries over a
-    BerlinMOD relation whose points keep moving — against re-executing every
-    standing query after every update batch.
-    """
-    return run_and_format(
-        STREAM_THROUGHPUT_FIGURE,
-        scale=scale,
-        repeats=repeats,
-        sweep_values=sweep_values,
-        progress=progress,
-    )
-
-
-def run_planner_calibration(
-    scale: float = 0.05,
-    repeats: int = 1,
-    sweep_values: tuple | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[FigureResult, str]:
-    """Run the planner-calibration workload (feedback-corrected vs static).
-
-    This is not a paper figure; it measures what the planner's calibration
-    loop buys on a workload the static cost constants mispredict (clustered
-    outer data around the selection focal, small kσ): the static engine keeps
-    executing the mispredicted strategy, the calibration-warmed engine has
-    demoted it and re-ranked with observed costs.
-    """
-    return run_and_format(
-        PLANNER_CALIBRATION_FIGURE,
-        scale=scale,
-        repeats=repeats,
-        sweep_values=sweep_values,
-        progress=progress,
-    )
-
-
-def run_algebra_pushdown(
-    scale: float = 0.05,
-    repeats: int = 1,
-    sweep_values: tuple | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[FigureResult, str]:
-    """Run the algebra workload (pushdown + aggregation vs naive re-execution).
-
-    This is not a paper figure; it measures what the ``repro.algebra`` layer
-    buys on a composed analytics dashboard — windowed hotspot top-k, per-kind
-    density grid, region rollup — against re-evaluating the same trees with
-    the brute-force reference evaluator over materialized point lists.
-    """
-    return run_and_format(
-        ALGEBRA_FIGURE,
-        scale=scale,
-        repeats=repeats,
-        sweep_values=sweep_values,
-        progress=progress,
-    )

@@ -14,7 +14,6 @@ behaviour of the algorithms is preserved.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -40,43 +39,10 @@ __all__ = [
     "FigureWorkload",
     "figure_workload",
     "ALL_FIGURES",
-    "ENGINE_THROUGHPUT_FIGURE",
-    "SHARDED_THROUGHPUT_FIGURE",
-    "COLUMNAR_SPEEDUP_FIGURE",
-    "STREAM_THROUGHPUT_FIGURE",
-    "PLANNER_CALIBRATION_FIGURE",
-    "KERNELS_FANOUT_FIGURE",
-    "ALGEBRA_FIGURE",
 ]
 
 #: The figures reproduced by the harness.
 ALL_FIGURES: tuple[int, ...] = (19, 20, 21, 22, 23, 24, 25, 26)
-
-#: Extra (non-paper) workload: engine-cached vs cold repeated queries.
-ENGINE_THROUGHPUT_FIGURE = 27
-
-#: Extra (non-paper) workload: sharded fan-out vs the single-partition engine.
-SHARDED_THROUGHPUT_FIGURE = 28
-
-#: Extra (non-paper) workload: columnar PointStore kNN vs the seed's
-#: object-path representation.
-COLUMNAR_SPEEDUP_FIGURE = 29
-
-#: Extra (non-paper) workload: continuous-query maintenance vs per-tick
-#: re-execution over a streaming BerlinMOD update workload.
-STREAM_THROUGHPUT_FIGURE = 30
-
-#: Extra (non-paper) workload: calibration-warmed planner vs the static cost
-#: model on a workload the static constants mispredict.
-PLANNER_CALIBRATION_FIGURE = 31
-
-#: Extra (non-paper) workload: the zero-copy segment / batched-kernel shard
-#: fan-out vs the PR 7 respawn-per-mutation, per-point protocol.
-KERNELS_FANOUT_FIGURE = 32
-
-#: Extra (non-paper) workload: composable-algebra pushdown + aggregation vs
-#: naive re-execution of the same trees over materialized point lists.
-ALGEBRA_FIGURE = 33
 
 #: Spatial extent shared by every benchmark dataset (same as the generators').
 EXTENT = Rect(0.0, 0.0, 40_000.0, 40_000.0)
@@ -393,646 +359,6 @@ def _fig26(scale: float) -> FigureWorkload:
     )
 
 
-# ----------------------------------------------------------------------
-# Figure 27 (beyond the paper): engine throughput
-# ----------------------------------------------------------------------
-def _fig27(scale: float) -> FigureWorkload:
-    """Repeated chained-join queries: cold ``Query.run`` vs the cached engine.
-
-    The serving pattern: the same chained query (``A→B→C``, e.g. a dashboard
-    refresh) executes over and over against registered relations.  The cold
-    series pays planning plus *every* neighborhood computation on each call;
-    the engine reuses the cached plan and shares the B→C neighborhood cache
-    across calls (the paper's Figure 24 cache, amortized over the whole
-    workload instead of a single query), so after the first call only the
-    A→B neighborhoods remain.
-    """
-    from repro.engine import SpatialEngine
-    from repro.query.dataset import Dataset
-    from repro.query.predicates import KnnJoin
-    from repro.query.query import Query
-
-    a_size = _scaled(16_000, scale, minimum=100)
-    b_size = _scaled(64_000, scale)
-    c_size = _scaled(64_000, scale)
-    sweep = (2, 4, 8, 16)
-    k_ab = k_bc = 3
-
-    def build(num_queries: int) -> SeriesBuilders:
-        a = Dataset(
-            "a",
-            berlinmod_snapshot(n=a_size, seed=2700),
-            bounds=EXTENT,
-            cells_per_side=CELLS_PER_SIDE,
-        )
-        b = Dataset(
-            "b",
-            berlinmod_snapshot(n=b_size, seed=2701, start_pid=10_000_000),
-            bounds=EXTENT,
-            cells_per_side=CELLS_PER_SIDE,
-        )
-        c = Dataset(
-            "c",
-            berlinmod_snapshot(n=c_size, seed=2702, start_pid=20_000_000),
-            bounds=EXTENT,
-            cells_per_side=CELLS_PER_SIDE,
-        )
-        datasets = {"a": a, "b": b, "c": c}
-        a.index, b.index, c.index  # build outside the timed region
-
-        def queries() -> list[Query]:
-            return [
-                Query(KnnJoin(outer="a", inner="b", k=k_ab), KnnJoin(outer="b", inner="c", k=k_bc))
-                for _ in range(num_queries)
-            ]
-
-        engine = SpatialEngine()
-        for dataset in datasets.values():
-            engine.register(dataset)
-
-        def run_cold() -> list:
-            return [q.run(datasets) for q in queries()]
-
-        def run_engine() -> list:
-            return [engine.run(q) for q in queries()]
-
-        return {"cold-query-run": run_cold, "engine-cached": run_engine}
-
-    return FigureWorkload(
-        figure=ENGINE_THROUGHPUT_FIGURE,
-        title="Engine throughput: plan/statistics caching vs cold Query.run",
-        sweep_name="queries per batch",
-        sweep_values=sweep,
-        series=("cold-query-run", "engine-cached"),
-        builder=build,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 28 (beyond the paper): sharded throughput
-# ----------------------------------------------------------------------
-def _fig28(scale: float) -> FigureWorkload:
-    """Sharded fan-out vs the PR 1 single-partition engine, clustered data.
-
-    The serving pattern: a heavy kNN-join over a clustered outer relation
-    (``A join_kNN B``) executes against a long-lived engine.  The unsharded
-    engine answers with one sequential pass over A against one monolithic
-    B index; the sharded engine splits both relations into ``num_shards``
-    sample-balanced shards, fans the outer shards out on its worker pool
-    (processes where ``fork`` is available, serial on one CPU) and merges.
-    Two effects stack: per-shard indexes are smaller (cheaper localities,
-    border expansion prunes most shards per point), and on a multi-core
-    host the shard tasks run in parallel — on a 4+-core machine the sweep
-    shows the ≥2x region from 4 shards up.
-    """
-    from repro.engine import SpatialEngine
-    from repro.query.predicates import KnnJoin
-    from repro.query.query import Query
-    from repro.shard.engine import ShardedEngine
-
-    a_size = _scaled(128_000, scale)
-    b_size = _scaled(256_000, scale)
-    sweep = (1, 2, 4, 8)
-    k = 3
-
-    def build(num_shards: int) -> SeriesBuilders:
-        a = clustered_points(
-            6, max(60, a_size // 6), EXTENT, cluster_radius=1_500.0, seed=2800
-        )
-        b = berlinmod_snapshot(n=b_size, seed=2801, start_pid=10_000_000)
-        query = Query(KnnJoin(outer="a", inner="b", k=k))
-
-        plain = SpatialEngine()
-        plain.register(name="a", points=a, bounds=EXTENT, cells_per_side=CELLS_PER_SIDE)
-        plain.register(name="b", points=b, bounds=EXTENT, cells_per_side=CELLS_PER_SIDE)
-        plain.run(query)  # warm the plan cache outside the timed region
-
-        sharded = ShardedEngine(num_shards=num_shards, backend="auto")
-        sharded.register(name="a", points=a, bounds=EXTENT)
-        sharded.register(name="b", points=b, bounds=EXTENT)
-        sharded.run(query)  # warm plan cache + worker pool
-
-        return {
-            "engine-unsharded": lambda: plain.run(query),
-            "sharded-engine": lambda: sharded.run(query),
-        }
-
-    return FigureWorkload(
-        figure=SHARDED_THROUGHPUT_FIGURE,
-        title="Sharded throughput: shard fan-out vs single-partition engine",
-        sweep_name="number of shards",
-        sweep_values=sweep,
-        series=("engine-unsharded", "sharded-engine"),
-        builder=build,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 29 (beyond the paper): columnar speedup
-# ----------------------------------------------------------------------
-def _fig29(scale: float) -> FigureWorkload:
-    """Columnar PointStore kNN vs the seed's object-path representation.
-
-    A kNN-heavy serving workload: a batch of kNN-selects whose focal points
-    are sampled from the relation itself (every query has a dense, populated
-    locality).  The ``object-path`` series is the seed representation —
-    per-query locality, then the object ranking over ``Point`` tuples
-    (:func:`neighborhood_from_blocks_object`, the pre-columnar code kept as
-    the parity oracle).  The ``columnar`` series answers the same queries
-    through :func:`get_knn_batch`: the block phase is batched over the whole
-    query set and ranking runs on gathered store columns.  Both series
-    return identical ``(distance, pid)``-ordered neighborhoods; at the
-    paper-scale sizes (n ≥ 100k) the columnar path sustains ≥ 3x the
-    throughput.
-    """
-    import numpy as np
-
-    from repro.locality.batch import get_knn_batch
-    from repro.locality.knn import build_locality, neighborhood_from_blocks_object
-
-    sweep = tuple(_scaled(n, scale) for n in (64_000, 128_000, 256_000))
-    k = 10
-    num_queries = 400
-
-    def build(size: int) -> SeriesBuilders:
-        points = berlinmod_snapshot(n=size, seed=2900)
-        index = _grid(points)
-        rng = np.random.default_rng(2901)
-        queries = [points[i] for i in rng.choice(len(points), size=min(num_queries, len(points)), replace=False)]
-
-        def run_object() -> list:
-            return [
-                neighborhood_from_blocks_object(q, k, build_locality(index, q, k).blocks)
-                for q in queries
-            ]
-
-        def run_columnar() -> list:
-            return get_knn_batch(index, queries, k)
-
-        # Warm both paths outside the timed region (the object path's block
-        # point/coord caches mirror the seed's steady state).
-        run_object()
-        run_columnar()
-        return {"object-path": run_object, "columnar": run_columnar}
-
-    return FigureWorkload(
-        figure=COLUMNAR_SPEEDUP_FIGURE,
-        title="Columnar speedup: PointStore kNN vs object-path representation",
-        sweep_name="dataset size",
-        sweep_values=sweep,
-        series=("object-path", "columnar"),
-        builder=build,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 30 (beyond the paper): continuous-query (stream) throughput
-# ----------------------------------------------------------------------
-def _fig30(scale: float) -> FigureWorkload:
-    """Standing-query maintenance vs naive per-tick re-execution.
-
-    The continuous serving pattern: a fleet of standing queries — kNN-selects
-    at focal points sampled from the data, range-alert windows, and one
-    standing kNN-join pairing a small "ambulances" relation with its nearest
-    vehicles — watches a BerlinMOD relation whose points keep moving: every
-    tick relocates 1% of the population (the :class:`BerlinModTickStream`
-    adapter).  The ``naive-reexecution`` series applies each tick to a plain
-    engine and re-runs every standing query from scratch; the
-    ``incremental-maintenance`` series pushes the identical tick through the
-    stream engine, whose guard regions skip unaffected subscriptions and
-    repair the affected ones locally.  Both engines consume byte-identical
-    update sequences (same tick-stream seed).  The acceptance bar — ≥ 5x
-    median throughput at paper-scale data (n ≥ 100k, 1% batches) — is
-    measured by the full sweep (``python -m repro.bench --figure 30 --scale
-    1.0``) and recorded in ``BENCH_stream.json``.
-    """
-    from repro.datagen.berlinmod import BerlinModTickStream
-    from repro.engine import SpatialEngine
-    from repro.query.predicates import KnnJoin, KnnSelect, RangeSelect
-    from repro.query.query import Query
-    from repro.stream import StreamEngine
-
-    import numpy as np
-
-    sweep = tuple(_scaled(n, scale) for n in (32_000, 64_000, 128_000))
-    k = 10
-    num_knn_subs = 48
-    num_range_subs = 12
-    num_ambulances = 240
-    k_join = 5
-    ticks_per_call = 4
-    move_fraction = 0.01
-
-    def build(size: int) -> SeriesBuilders:
-        points = berlinmod_snapshot(n=size, seed=3000)
-        ambulances = berlinmod_snapshot(
-            n=num_ambulances, seed=3003, start_pid=50_000_000
-        )
-        rng = np.random.default_rng(3001)
-        focal_rows = rng.choice(len(points), size=num_knn_subs, replace=False)
-        window_rows = rng.choice(len(points), size=num_range_subs, replace=False)
-        half = 1_500.0
-        queries = [
-            Query(KnnSelect(relation="vehicles", focal=Point(points[i].x, points[i].y), k=k))
-            for i in focal_rows
-        ] + [
-            Query(
-                RangeSelect(
-                    relation="vehicles",
-                    window=Rect(
-                        points[i].x - half, points[i].y - half,
-                        points[i].x + half, points[i].y + half,
-                    ),
-                )
-            )
-            for i in window_rows
-        ] + [
-            Query(KnnJoin(outer="ambulances", inner="vehicles", k=k_join))
-        ]
-
-        stream = StreamEngine()
-        stream.register(
-            name="vehicles", points=points, bounds=EXTENT, cells_per_side=CELLS_PER_SIDE
-        )
-        stream.register(
-            name="ambulances",
-            points=ambulances,
-            bounds=EXTENT,
-            cells_per_side=CELLS_PER_SIDE,
-        )
-        for query in queries:
-            stream.subscribe(query)
-        incremental_ticks = BerlinModTickStream(
-            points, bounds=EXTENT, move_fraction=move_fraction, seed=3002
-        )
-
-        naive = SpatialEngine()
-        naive.register(
-            name="vehicles", points=points, bounds=EXTENT, cells_per_side=CELLS_PER_SIDE
-        )
-        naive.register(
-            name="ambulances",
-            points=ambulances,
-            bounds=EXTENT,
-            cells_per_side=CELLS_PER_SIDE,
-        )
-        naive_ticks = BerlinModTickStream(
-            points, bounds=EXTENT, move_fraction=move_fraction, seed=3002
-        )
-
-        def run_incremental() -> list:
-            return [
-                stream.push("vehicles", incremental_ticks.tick())
-                for _ in range(ticks_per_call)
-            ]
-
-        def run_naive() -> list:
-            out = []
-            for _ in range(ticks_per_call):
-                naive.apply_update("vehicles", naive_ticks.tick())
-                out.append([naive.run(query) for query in queries])
-            return out
-
-        # Warm both paths outside the timed region (plan caches, first
-        # maintenance pass) with one tick each — same seed keeps the two
-        # tick streams aligned.
-        run_naive()
-        run_incremental()
-        return {"naive-reexecution": run_naive, "incremental-maintenance": run_incremental}
-
-    return FigureWorkload(
-        figure=STREAM_THROUGHPUT_FIGURE,
-        title="Stream throughput: incremental maintenance vs per-tick re-execution",
-        sweep_name="dataset size",
-        sweep_values=sweep,
-        series=("naive-reexecution", "incremental-maintenance"),
-        builder=build,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 31 (beyond the paper): planner calibration
-# ----------------------------------------------------------------------
-def _fig31(scale: float) -> FigureWorkload:
-    """Calibration-warmed planner vs the static cost model, mispredicting data.
-
-    The serving pattern the ISSUE's acceptance bar describes: a repeated
-    select-inner-of-join query over *clustered* data with a small kσ, shaped
-    so the static model's choice is maximally wrong.  The outer relation is
-    one dense cluster around the selection's focal point (dense blocks →
-    the static heuristic picks Block-Marking); the inner relation is a
-    cluster *tighter than a block diagonal*, which makes the
-    Non-Contributing bound ``r + d + f_farthest < f_center`` unsatisfiable —
-    Block-Marking examines **every** block of a fine grid, paying one serial
-    block-center neighborhood each, and prunes nothing (every outer
-    neighborhood overlaps the selection).
-
-    The ``static-planner`` series is an engine with demotion disabled
-    (``demotion_factor=inf``): it re-executes that mispredicted plan
-    forever.  The ``calibrated-planner`` series is a default engine warmed
-    outside the timed region: its misprediction check demoted the static
-    choice, planning re-ranked with observed costs, and the timed runs
-    execute the converged strategy (the batched baseline — with selectivity
-    ≈ 1, any pruning overhead is pure waste).  Both series answer
-    identically; the speedup is pure planner feedback.
-    """
-    import numpy as np
-
-    from repro.engine import SpatialEngine
-    from repro.query.predicates import KnnJoin, KnnSelect
-    from repro.query.query import Query
-
-    inner_size = _scaled(8_000, scale, minimum=400)
-    sweep = (
-        _scaled(4_000, scale, minimum=100),
-        _scaled(8_000, scale, minimum=200),
-        _scaled(16_000, scale, minimum=400),
-    )
-    k_join, k_select = 3, 8
-    cells = 64  # fine grid: many blocks for Block-Marking to examine
-    inner_radius = 400.0  # < block diagonal (~884) → no block is ever NC
-    reps = 2  # engine runs per timed call
-
-    def disk(n: int, radius: float, seed: int, start_pid: int) -> list[Point]:
-        rng = np.random.default_rng(seed)
-        radii = radius * np.sqrt(rng.uniform(0, 1, size=n))
-        angles = rng.uniform(0, 2 * math.pi, size=n)
-        return [
-            Point(
-                float(FOCAL.x + r * math.cos(a)),
-                float(FOCAL.y + r * math.sin(a)),
-                start_pid + i,
-            )
-            for i, (r, a) in enumerate(zip(radii, angles))
-        ]
-
-    def build(outer_size: int) -> SeriesBuilders:
-        # Outer cluster radius scales with sqrt(n): constant density keeps
-        # the static heuristic's Block-Marking choice at every sweep point.
-        outer_radius = 2_500.0 * math.sqrt(outer_size / 16_000.0)
-        outer = disk(outer_size, outer_radius, seed=3100, start_pid=0)
-        inner = disk(inner_size, inner_radius, seed=3101, start_pid=10_000_000)
-        query = Query(
-            KnnJoin(outer="outer", inner="inner", k=k_join),
-            KnnSelect(relation="inner", focal=FOCAL, k=k_select),
-        )
-
-        def make_engine(**kwargs: object) -> SpatialEngine:
-            engine = SpatialEngine(**kwargs)  # type: ignore[arg-type]
-            engine.register(
-                name="outer", points=outer, bounds=EXTENT, cells_per_side=cells
-            )
-            engine.register(
-                name="inner", points=inner, bounds=EXTENT, cells_per_side=cells
-            )
-            return engine
-
-        static = make_engine(demotion_factor=float("inf"))
-        calibrated = make_engine()
-        # Warm both outside the timed region: the static engine caches its
-        # (mispredicted) plan, the calibrated engine runs until the feedback
-        # loop converges (three strategies → at most a few demotions).
-        static.run(query)
-        for _ in range(5):
-            calibrated.run(query)
-
-        return {
-            "static-planner": lambda: [static.run(query) for _ in range(reps)],
-            "calibrated-planner": lambda: [calibrated.run(query) for _ in range(reps)],
-        }
-
-    return FigureWorkload(
-        figure=PLANNER_CALIBRATION_FIGURE,
-        title="Planner calibration: feedback-corrected vs static cost model",
-        sweep_name="outer relation size",
-        sweep_values=sweep,
-        series=("static-planner", "calibrated-planner"),
-        builder=build,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 32 (beyond the paper): zero-copy shard fan-out + kernel tier
-# ----------------------------------------------------------------------
-def _fig32(scale: float) -> FigureWorkload:
-    """Segment-generation pool reuse + batched fan-out vs the PR 7 protocol.
-
-    The mutation-interleaved serving pattern the kernel tier targets: a
-    long-lived sharded engine answers a kNN-join (``a join_kNN b``) while
-    the driving relation keeps moving — every serving cycle applies one
-    BerlinMOD-style tick to ``a`` and re-runs the join.  Three protocol
-    levels answer identical cycles on the process backend:
-
-    * ``pr7-respawn`` — segments off, per-point worker fan-out: every
-      mutation discards the pool, the next query pays a full re-fork, and
-      each worker loops scalar :func:`~repro.shard.knn.sharded_knn` calls
-      over its shard (the PR 7 protocol).
-    * ``segment-reuse`` — mutations publish a new shared-memory generation
-      (:mod:`repro.shard.shm`) that the *surviving* workers attach
-      zero-copy; fan-out still per-point.
-    * ``kernel-tier`` — segments plus the batched two-round cross-shard
-      kNN (:func:`~repro.shard.batch.sharded_knn_batch`) running on the
-      active :mod:`repro.kernels` backend.
-
-    All three return identical rows; the recorded speedup
-    (``pr7-respawn`` / ``kernel-tier``) is the PR's acceptance metric.
-    Worker width is pinned to 2 so the protocol comparison — fork cost vs
-    segment publish, scalar loop vs batched kernels — is measured, not the
-    host's core count.
-    """
-    import multiprocessing
-
-    from repro.datagen.berlinmod import BerlinModTickStream
-    from repro.query.predicates import KnnJoin
-    from repro.query.query import Query
-    from repro.shard.engine import ShardedEngine
-    from repro.shard.executor import set_batched_fanout
-
-    b_size = _scaled(128_000, scale)
-    sweep = tuple(_scaled(n, scale) for n in (32_000, 64_000, 128_000))
-    k = 3
-    num_shards = 4
-    cycles_per_call = 2
-    move_fraction = 0.02
-    backend = (
-        "process"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else "serial"
-    )
-
-    def build(outer_size: int) -> SeriesBuilders:
-        a = clustered_points(
-            6, max(60, outer_size // 6), EXTENT, cluster_radius=1_500.0, seed=3200
-        )
-        b = berlinmod_snapshot(n=b_size, seed=3201, start_pid=10_000_000)
-        query = Query(KnnJoin(outer="a", inner="b", k=k))
-
-        def make_engine(segment_mode: str, batched: bool) -> tuple:
-            prev = set_batched_fanout(batched)
-            try:
-                engine = ShardedEngine(
-                    num_shards=num_shards,
-                    backend=backend,
-                    max_workers=2,
-                    segment_mode=segment_mode,
-                )
-                engine.register(name="a", points=a, bounds=EXTENT)
-                engine.register(name="b", points=b, bounds=EXTENT)
-                # Warm the plan cache and fork the pool while the fan-out
-                # flag is set: process workers inherit it at fork time.
-                engine.run(query)
-            finally:
-                set_batched_fanout(prev)
-            ticks = BerlinModTickStream(
-                a, bounds=EXTENT, move_fraction=move_fraction, seed=3202
-            )
-            return engine, ticks
-
-        def serve(engine: ShardedEngine, ticks, batched: bool) -> Callable[[], list]:
-            def run() -> list:
-                # The flag matters at execution time for inline/serial
-                # execution; forked process workers keep their inherited
-                # value, which make_engine pinned to the same setting.
-                prev = set_batched_fanout(batched)
-                try:
-                    out = []
-                    for _ in range(cycles_per_call):
-                        engine.apply_update("a", ticks.tick())
-                        out.append(engine.run(query))
-                    return out
-                finally:
-                    set_batched_fanout(prev)
-
-            return run
-
-        legacy, legacy_ticks = make_engine("off", batched=False)
-        reuse, reuse_ticks = make_engine("auto", batched=False)
-        kernel, kernel_ticks = make_engine("auto", batched=True)
-        return {
-            "pr7-respawn": serve(legacy, legacy_ticks, batched=False),
-            "segment-reuse": serve(reuse, reuse_ticks, batched=False),
-            "kernel-tier": serve(kernel, kernel_ticks, batched=True),
-        }
-
-    return FigureWorkload(
-        figure=KERNELS_FANOUT_FIGURE,
-        title="Kernel tier: zero-copy segment fan-out vs respawn-per-mutation",
-        sweep_name="outer relation size",
-        sweep_values=sweep,
-        series=("pr7-respawn", "segment-reuse", "kernel-tier"),
-        builder=build,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 33 (beyond the paper): algebra pushdown vs naive re-execution
-# ----------------------------------------------------------------------
-def _fig33(scale: float) -> FigureWorkload:
-    """Composable-algebra dashboard: pushdown + aggregation vs naive loops.
-
-    A geofence-analytics "dashboard" evaluates four composed trees over a
-    moving relation ``a`` and a depot relation ``b`` — a windowed per-cell
-    top-k hotspot query (with a *redundant* nested window the rewrite engine
-    fuses away), a per-kind density grid, a region-count rollup, and a
-    per-cell aggregate over a windowed kNN join (nearest depots of every
-    vehicle inside the fence).  Two executions answer the identical
-    dashboard:
-
-    * ``naive-reexec`` — :func:`repro.algebra.reference.reference_rows`:
-      plain Python loops over the materialized point lists, every filter
-      re-scanning the full relation and every join row sorting the whole
-      inner relation (the reference evaluator is documented as this
-      figure's baseline).
-    * ``algebra-pushdown`` — ``engine.run(Query.from_tree(tree))`` on a
-      plan-cache-warmed :class:`~repro.engine.session.SpatialEngine`: the
-      rewrite engine fuses the nested windows and annotates the aggregate
-      prune window, the fused chains evaluate through the grid index
-      (touching only cells intersecting the window), and the join runs as
-      one batched index kNN over the surviving outer rows.
-
-    Both series return the same canonical row keys per tree, so the
-    benchmark gate checks parity and speedup on identical answers.  The
-    recorded speedup (``naive-reexec`` / ``algebra-pushdown``) is the PR's
-    acceptance metric.
-    """
-    from repro.algebra import (
-        AttrFilter,
-        GridAggregate,
-        KnnJoinOp,
-        RangeFilter,
-        RegionAggregate,
-        Scan,
-        TopK,
-    )
-    from repro.algebra.reference import reference_rows
-    from repro.engine.session import SpatialEngine
-    from repro.query.query import Query
-    from repro.stream.delta import result_rows
-
-    sweep = tuple(_scaled(n, scale) for n in (32_000, 64_000, 128_000))
-    cells = 16
-    reps = 1  # dashboard evaluations per timed call (naive join is quadratic)
-    # The analytics window covers 1/16 of the extent around the focal point;
-    # the hotspot tree nests a redundant wider window for the fuser to fold.
-    window = Rect(15_000.0, 15_000.0, 25_000.0, 25_000.0)
-    wide = Rect(10_000.0, 10_000.0, 30_000.0, 30_000.0)
-    mid_x = (window.xmin + window.xmax) / 2.0
-    regions = (
-        ("west", Rect(window.xmin, window.ymin, mid_x, window.ymax)),
-        ("east", Rect(mid_x, window.ymin, window.xmax, window.ymax)),
-    )
-    trees = (
-        TopK(GridAggregate(RangeFilter(RangeFilter(Scan("a"), wide), window), cells), 10),
-        GridAggregate(
-            AttrFilter(RangeFilter(Scan("a"), window), "kind", "bus"),
-            cells,
-            measure="density",
-        ),
-        RegionAggregate(RangeFilter(Scan("a"), window), regions),
-        GridAggregate(KnnJoinOp(RangeFilter(Scan("a"), window), Scan("b"), 2), cells),
-    )
-
-    def build(relation_size: int) -> SeriesBuilders:
-        base = berlinmod_snapshot(n=relation_size, seed=3300)
-        points = [
-            Point(p.x, p.y, p.pid, {"kind": "bus" if p.pid % 3 else "taxi"})
-            for p in base
-        ]
-        depots = berlinmod_snapshot(n=relation_size, seed=3301, start_pid=10_000_000)
-        relations = {"a": points, "b": depots}
-        frames = {"a": EXTENT, "b": EXTENT}
-
-        engine = SpatialEngine()
-        engine.register(name="a", points=points, bounds=EXTENT, cells_per_side=CELLS_PER_SIDE)
-        engine.register(name="b", points=depots, bounds=EXTENT, cells_per_side=CELLS_PER_SIDE)
-        queries = tuple(Query.from_tree(tree) for tree in trees)
-        for query in queries:  # warm the plan cache outside the timed region
-            engine.run(query)
-
-        def naive() -> list:
-            out = []
-            for _ in range(reps):
-                out = [reference_rows(tree, relations, frames) for tree in trees]
-            return out
-
-        def pushdown() -> list:
-            out = []
-            for _ in range(reps):
-                out = [result_rows(engine.run(query)) for query in queries]
-            return out
-
-        return {"naive-reexec": naive, "algebra-pushdown": pushdown}
-
-    return FigureWorkload(
-        figure=ALGEBRA_FIGURE,
-        title="Algebra pushdown + aggregation vs naive re-execution",
-        sweep_name="relation size",
-        sweep_values=sweep,
-        series=("naive-reexec", "algebra-pushdown"),
-        builder=build,
-    )
-
-
 _FACTORIES: dict[int, Callable[[float], FigureWorkload]] = {
     19: _fig19,
     20: _fig20,
@@ -1042,13 +368,6 @@ _FACTORIES: dict[int, Callable[[float], FigureWorkload]] = {
     24: _fig24,
     25: _fig25,
     26: _fig26,
-    ENGINE_THROUGHPUT_FIGURE: _fig27,
-    SHARDED_THROUGHPUT_FIGURE: _fig28,
-    COLUMNAR_SPEEDUP_FIGURE: _fig29,
-    STREAM_THROUGHPUT_FIGURE: _fig30,
-    PLANNER_CALIBRATION_FIGURE: _fig31,
-    KERNELS_FANOUT_FIGURE: _fig32,
-    ALGEBRA_FIGURE: _fig33,
 }
 
 

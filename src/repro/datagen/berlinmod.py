@@ -186,8 +186,7 @@ class BerlinModTickStream:
     that are alive at that tick.
 
     The stream is deterministic given its seed, so two engines fed the same
-    stream see byte-identical update sequences — which is how the figure-30
-    workload keeps its incremental and re-execution series comparable.
+    stream see byte-identical update sequences.
 
     Parameters
     ----------

@@ -21,8 +21,7 @@ concatenated and distance + ``(distance, pid)`` ranking run as vectorized
 kernels over the store's columns; the winning rows feed a *lazy*
 :class:`Neighborhood` and no :class:`Point` object is created here.
 :func:`neighborhood_from_blocks_object` keeps the seed's object-path ranking
-as the parity oracle (and as the "seed representation" baseline of the
-figure-29 columnar-speedup benchmark).
+as the parity oracle and as the fallback for block lists that span stores.
 """
 
 from __future__ import annotations
@@ -193,7 +192,7 @@ def neighborhood_from_blocks_object(
     Iterates :class:`Point` objects and gathers pids per object — exactly the
     pre-columnar implementation.  Used by the parity property tests (the
     columnar path must return byte-identical ``(distance, pid)`` results) and
-    as the baseline series of the figure-29 columnar-speedup workload.
+    by :func:`neighborhood_from_blocks` when the blocks span several stores.
     """
     if k <= 0:
         raise InvalidParameterError(f"k must be positive, got {k}")

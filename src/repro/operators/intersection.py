@@ -16,15 +16,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.geometry.point import Point
 from repro.locality.neighborhood import Neighborhood
 from repro.operators.results import JoinPair, JoinTriplet
 
 __all__ = [
     "intersect_points",
-    "intersect_pids",
     "intersect_pairs_on_inner",
     "pairs_to_triplets",
 ]
@@ -52,16 +49,6 @@ def intersect_points(
             seen.add(p.pid)
             result.append(p)
     return result
-
-
-def intersect_pids(first: Neighborhood, second: Neighborhood) -> np.ndarray:
-    """Sorted pid array common to both neighborhoods (``np.intersect1d``).
-
-    The id-array flavor of the intersection: no point is materialized.
-    Useful when a later phase only needs identifiers (e.g. filtering join
-    outputs by a selection result).
-    """
-    return np.intersect1d(first.pid_array, second.pid_array)
 
 
 def intersect_pairs_on_inner(

@@ -40,7 +40,6 @@ from repro.storage.pointstore import PointStore
 
 __all__ = [
     "merge_neighborhoods",
-    "merge_knn_candidates",
     "merge_pid_partials",
     "merge_pair_partials",
     "merge_triplet_partials",
@@ -73,29 +72,6 @@ def merge_neighborhoods(
         parts[part]._member_at(int(g - offsets[part]))
         for g, part in zip(order.tolist(), part_of.tolist())
     ]
-    return Neighborhood(center, k, members, dists[order])
-
-
-def merge_knn_candidates(
-    center: Point, k: int, candidates: Sequence[tuple[float, int, Point]]
-) -> Neighborhood:
-    """Build the global k-neighborhood from ``(distance, pid, point)`` rows.
-
-    The row-tuple flavor of :func:`merge_neighborhoods`, kept for callers
-    that accumulate loose candidates; ranking is the same ``np.lexsort`` over
-    the stacked ``(distance, pid)`` columns.  Duplicate pids (which cannot
-    occur for disjoint shards) are kept as-is; callers guarantee
-    disjointness.
-    """
-    if k <= 0:
-        raise InvalidParameterError(f"k must be positive, got {k}")
-    n = len(candidates)
-    if n == 0:
-        return Neighborhood(center, k, [], [])
-    dists = np.fromiter((row[0] for row in candidates), dtype=np.float64, count=n)
-    pids = np.fromiter((row[1] for row in candidates), dtype=np.int64, count=n)
-    order = kernels.merge_topk(dists, pids, k)
-    members = [candidates[i][2] for i in order.tolist()]
     return Neighborhood(center, k, members, dists[order])
 
 

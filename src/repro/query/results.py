@@ -77,11 +77,3 @@ class QueryResult:
         if self.points or self.pairs or self.records:
             raise UnsupportedQueryError("this query produced points/pairs, not triplets")
         return self.triplets
-
-    def require_records(self) -> tuple[tuple, ...]:
-        """Return the generic rows, or raise if this result holds a typed shape."""
-        if self.points or self.pairs or self.triplets:
-            raise UnsupportedQueryError(
-                "this query produced a typed result shape, not generic records"
-            )
-        return self.records

@@ -20,14 +20,14 @@ inner engine's caches; the worker pool is *refreshed*, not discarded: under
 the shared-memory generation protocol (:mod:`repro.shard.shm`) the mutated
 relation is published as a new segment generation and process workers attach
 it zero-copy, so the pool — and the fork-inherited snapshot it amortizes —
-survives the mutation (``shard_pool_reuses_total``).  Only when segments are
-off (or the registration set itself changes) is the pool discarded and
-re-forked (``shard_pool_respawns_total``).  Every dispatched task carries
-the dataset versions its plan was derived against and re-validates them at
-execution time; a :class:`~repro.exceptions.StaleShardError` makes the
-engine resync, re-plan and retry — a plan is never served against stale
-per-shard state, even when the base dataset was mutated behind the engine's
-back.
+survives the mutation (``shard_pool_reuses_total``).  Only when the host
+cannot publish a segment (or the registration set itself changes) is the pool
+discarded and re-forked (``shard_pool_respawns_total``).  Every dispatched
+task carries the dataset versions its plan was derived against and
+re-validates them at execution time; a
+:class:`~repro.exceptions.StaleShardError` makes the engine resync, re-plan
+and retry — a plan is never served against stale per-shard state, even when
+the base dataset was mutated behind the engine's back.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ class ShardedEngine:
         ``"thread"`` or ``"process"``; see :mod:`repro.shard.pool`.
     max_workers:
         Worker-pool width (default: available CPU count, affinity-aware).
-    segment_mode:
-        Shared-memory generation protocol for the process backend —
-        ``"auto"`` (default) publishes each relation into a
-        :mod:`repro.shard.shm` segment per version so mutations *reuse*
-        the pool; ``"off"`` restores the respawn-per-mutation protocol.
     optimizer / plan_cache_size:
         Forwarded to the wrapped :class:`SpatialEngine`.
     seed:
@@ -118,7 +113,6 @@ class ShardedEngine:
         strategy: str = "sample",
         backend: str = "auto",
         max_workers: int | None = None,
-        segment_mode: str = "auto",
         optimizer: Optimizer | None = None,
         plan_cache_size: int = 256,
         seed: int = 0,
@@ -130,7 +124,6 @@ class ShardedEngine:
         self.strategy = strategy
         self.backend = backend
         self.max_workers = max_workers
-        self.segment_mode = segment_mode
         self.seed = seed
         self.prefer_fanout = prefer_fanout
         #: The observability bundle, shared with the wrapped engine.
@@ -673,7 +666,6 @@ class ShardedEngine:
                     datasets=dict(self._sharded),
                     backend=self.backend,
                     max_workers=self.max_workers,
-                    segments=self.segment_mode,
                 )
             return self._pool
 
@@ -682,23 +674,18 @@ class ShardedEngine:
 
         Under the segment protocol the mutated relation is published as a
         new shared-memory generation and the pool survives
-        (``shard_pool_reuses_total``); when the pool cannot be patched —
-        process backend with segments off, or a publish failure — it is
-        discarded and the next query re-forks it
-        (``shard_pool_respawns_total``).
+        (``shard_pool_reuses_total``); when the pool cannot be patched — a
+        process backend on a host where shm publish fails — it is discarded
+        and the next query re-forks it (``shard_pool_respawns_total``).
         """
         with self._pool_lock:
             pool = self._pool
             if pool is None:
                 return  # nothing live: the next query forks a fresh pool
             sharded = self._sharded.get(name)
-            if sharded is not None:
-                try:
-                    if pool.refresh(sharded):
-                        self._pool_reuses.inc()
-                        return
-                except OSError:
-                    pass  # shm unavailable/exhausted: fall back to respawning
+            if sharded is not None and pool.refresh(sharded):
+                self._pool_reuses.inc()
+                return
             pool.close()
             self._pool = None
             self._pool_respawns.inc()

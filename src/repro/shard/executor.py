@@ -13,10 +13,10 @@ Correct cross-shard semantics come from two mechanisms:
 
 * the driving relation is a true partition, so per-shard join outputs
   concatenate without loss or duplication, and
-* every per-point kNN inside a worker uses
-  :func:`repro.shard.knn.sharded_knn` — border expansion over the *inner*
-  relation's shards — so a point near a shard boundary still finds its true
-  k nearest neighbors in adjacent shards.
+* every kNN inside a worker goes through
+  :func:`repro.shard.batch.sharded_knn_batch` — border expansion over the
+  *inner* relation's shards — so a point near a shard boundary still finds
+  its true k nearest neighbors in adjacent shards.
 
 Every task carries the dataset versions its plan was derived against;
 :func:`execute_shard_task` re-validates them *at execution time* and raises
@@ -72,36 +72,10 @@ from repro.storage.pointstore import PointStore
 
 __all__ = [
     "ShardTask",
-    "batched_fanout",
     "execute_shard_task",
     "relation_bounds",
-    "set_batched_fanout",
     "sharded_execute",
 ]
-
-#: Whether join/chained workers batch their per-point cross-shard kNNs
-#: through :func:`~repro.shard.batch.sharded_knn_batch`.  Module-level so a
-#: fork-inherited worker sees the same setting as its coordinator; the
-#: benchmark harness flips it off to measure the pre-kernel per-point path.
-_BATCHED_FANOUT = True
-
-
-def set_batched_fanout(enabled: bool) -> bool:
-    """Enable/disable the batched join fan-out; returns the previous setting.
-
-    Intended for benchmarks and A/B tests — the batched path is exact and
-    always preferable in production.  Flip *before* a process pool forks so
-    workers inherit the setting.
-    """
-    global _BATCHED_FANOUT
-    previous = _BATCHED_FANOUT
-    _BATCHED_FANOUT = bool(enabled)
-    return previous
-
-
-def batched_fanout() -> bool:
-    """Whether join/chained shard tasks use the batched kNN fan-out."""
-    return _BATCHED_FANOUT
 
 #: ``(relation, version)`` stamps a task was planned against.
 VersionStamps = tuple[tuple[str, int], ...]
@@ -183,36 +157,13 @@ def execute_shard_task(
     if task.kind == "join":
         inner_rel, k, select_pids, inner_window, outer_window = task.payload
         inner = datasets[inner_rel]
-        if _BATCHED_FANOUT:
-            return _join_batched(
-                driving, inner, k, select_pids, inner_window, outer_window
-            )
-        pairs: list[JoinPair] = []
-        for e1 in driving.points:
-            if outer_window is not None and not outer_window.contains_point(e1):
-                continue
-            for e2 in sharded_knn(inner, e1, k):
-                if select_pids is not None and e2.pid not in select_pids:
-                    continue
-                if inner_window is not None and not inner_window.contains_point(e2):
-                    continue
-                pairs.append(JoinPair(e1, e2))
-        return pairs
+        return _join_batched(
+            driving, inner, k, select_pids, inner_window, outer_window
+        )
     if task.kind == "chained":
         b_rel, c_rel, k_ab, k_bc = task.payload
         b, c = datasets[b_rel], datasets[c_rel]
-        if _BATCHED_FANOUT:
-            return _chained_batched(driving, b, c, k_ab, k_bc)
-        cache: dict[int, Neighborhood] = {}  # per-task B→C neighborhood cache
-        triplets: list[JoinTriplet] = []
-        for a in driving.points:
-            for b_point in sharded_knn(b, a, k_ab):
-                c_nbr = cache.get(b_point.pid)
-                if c_nbr is None:
-                    c_nbr = sharded_knn(c, b_point, k_bc)
-                    cache[b_point.pid] = c_nbr
-                triplets.extend(JoinTriplet(a, b_point, c_point) for c_point in c_nbr)
-        return triplets
+        return _chained_batched(driving, b, c, k_ab, k_bc)
     if task.kind == "algebra":
         subtree, agg, bounds = task.payload
         batch = evaluate(subtree, _ShardLocalContext(driving, bounds)).batch
@@ -261,11 +212,10 @@ class _ShardLocalContext:
 def _join_batched(driving, inner, k, select_pids, inner_window, outer_window):
     """Join one driving shard via the batched cross-shard kNN.
 
-    Same output (pairs, order, filters) as the per-point loop: the driving
-    rows are visited in store order, the outer-window filter runs as one
-    ``window_mask`` kernel over the columns, and every surviving row's
-    neighborhood comes from one :func:`sharded_knn_batch` call over the
-    shard's coordinates.
+    The driving rows are visited in store order, the outer-window filter
+    runs as one ``window_mask`` kernel over the columns, and every surviving
+    row's neighborhood comes from one :func:`sharded_knn_batch` call over
+    the shard's coordinates.
     """
     store = driving.store
     if outer_window is not None:
@@ -304,8 +254,8 @@ def _chained_batched(driving, b, c, k_ab, k_bc):
     """Chained joins over one driving shard, both hops batched.
 
     The A→B hop is one batched kNN over the shard's coordinates; the B→C
-    hop batches over the *unique* B points found (the batched analogue of
-    the per-task cache in the scalar path).
+    hop batches over the *unique* B points found, so each B→C neighborhood
+    is computed once per task.
     """
     store = driving.store
     coords = np.column_stack((store.xs, store.ys))

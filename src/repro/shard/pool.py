@@ -22,10 +22,15 @@ travels two ways:
   relation into a :mod:`repro.shard.shm` segment per version.  When a task's
   version stamp is newer than the worker's forked snapshot, the worker
   *attaches* the matching segment (zero-copy, read-only) instead of failing;
-  mutations therefore publish a new generation and **reuse** the pool where
-  the old protocol had to discard and re-fork it.  A segment that is already
-  gone (generation raced past) still surfaces as
+  mutations therefore publish a new generation and **reuse** the pool
+  instead of discarding and re-forking it.  A segment that is already gone
+  (generation raced past) still surfaces as
   :class:`~repro.exceptions.StaleShardError`, and the engine retries.
+
+A process pool always runs the generation protocol.  When the host cannot
+publish (``/dev/shm`` missing or full: ``OSError``), the pool unlinks what
+it had published and serves from the fork snapshot alone; every mutation
+then stales the snapshot and the owning engine respawns the pool.
 """
 
 from __future__ import annotations
@@ -50,16 +55,10 @@ __all__ = [
     "available_cpus",
     "resolve_backend",
     "BACKENDS",
-    "SEGMENT_MODES",
 ]
 
 #: Supported backend names (``auto`` resolves to one of the other three).
 BACKENDS = ("auto", "serial", "thread", "process")
-
-#: Segment modes: ``auto`` publishes generations iff the backend is
-#: ``process`` (the only one that needs them); ``off`` restores the
-#: fork-snapshot-only protocol (every mutation stales the pool).
-SEGMENT_MODES = ("auto", "off")
 
 #: Token → shard datasets; populated by the owning engine *before* its pool
 #: forks so that process workers inherit the mapping (see module docstring).
@@ -102,7 +101,7 @@ def _reconcile(
     """
     pid = _SEGMENT_PIDS.get(token)
     if pid is None or pid == os.getpid():
-        # Segments disabled, or we *are* the coordinator (inline/serial/
+        # No segments published, or we *are* the coordinator (inline/serial/
         # thread execution): the live objects are authoritative.
         return datasets
     merged: dict[str, object] | None = None
@@ -237,9 +236,6 @@ class ShardWorkerPool:
     max_workers:
         Pool width for the thread/process backends (default: available CPU
         count, affinity-aware).  Clamped to at least 1.
-    segments:
-        One of :data:`SEGMENT_MODES`; ``auto`` (default) runs the
-        shared-memory generation protocol when the backend is ``process``.
     """
 
     def __init__(
@@ -248,12 +244,7 @@ class ShardWorkerPool:
         datasets: Mapping[str, "ShardedDataset"],
         backend: str = "auto",
         max_workers: int | None = None,
-        segments: str = "auto",
     ) -> None:
-        if segments not in SEGMENT_MODES:
-            raise InvalidParameterError(
-                f"unknown segment mode {segments!r}; expected one of {SEGMENT_MODES}"
-            )
         self.token = token
         self.backend = resolve_backend(backend)
         if max_workers is None:
@@ -263,11 +254,14 @@ class ShardWorkerPool:
         self._executor: Executor | None = None
         self._publisher: SegmentPublisher | None = None
         _RUNTIMES[token] = datasets
-        if segments == "auto" and self.backend == "process":
+        if self.backend == "process":
             self._publisher = SegmentPublisher(token)
             _SEGMENT_PIDS[token] = os.getpid()
-            for sharded in datasets.values():
-                self._publisher.publish(sharded)
+            try:
+                for sharded in datasets.values():
+                    self._publisher.publish(sharded)
+            except OSError:  # /dev/shm missing or full: fork snapshot only
+                self._drop_segments()
 
     @property
     def parallel(self) -> bool:
@@ -279,19 +273,6 @@ class ShardWorkerPool:
         """Whether this pool runs the shared-memory generation protocol."""
         return self._publisher is not None
 
-    def publish(self, sharded: "ShardedDataset") -> bool:
-        """Publish a relation's current version as a new segment generation.
-
-        Returns ``True`` when a generation is live (published now or
-        already current) — meaning the pool can keep serving after the
-        mutation; ``False`` when segments are disabled and the caller must
-        respawn the pool instead.
-        """
-        if self._publisher is None:
-            return False
-        self._publisher.publish(sharded)
-        return True
-
     def refresh(self, sharded: "ShardedDataset") -> bool:
         """Absorb a mutation of one relation without discarding the pool.
 
@@ -300,12 +281,23 @@ class ShardWorkerPool:
         backend shares the coordinator's address space (serial/thread) and
         executes against the live objects anyway.  ``False`` means the
         forked snapshots are stale and cannot be patched — the caller must
-        respawn the pool (process backend with segments off).
+        respawn the pool (process backend whose publish raised ``OSError``,
+        now or earlier).
         """
         if self._publisher is not None:
-            self._publisher.publish(sharded)
-            return True
+            try:
+                self._publisher.publish(sharded)
+                return True
+            except OSError:
+                self._drop_segments()
         return self.backend != "process"
+
+    def _drop_segments(self) -> None:
+        """Unlink every published generation and leave the segment protocol."""
+        if self._publisher is not None:
+            self._publisher.close()
+            self._publisher = None
+        _SEGMENT_PIDS.pop(self.token, None)
 
     def forget(self, relation: str) -> None:
         """Drop the published generation of one (unregistered) relation."""
@@ -313,7 +305,7 @@ class ShardWorkerPool:
             self._publisher.forget(relation)
 
     def segment_names(self) -> dict[str, str]:
-        """Relation → live segment name (empty when segments are disabled)."""
+        """Relation → live segment name (empty when nothing is published)."""
         if self._publisher is None:
             return {}
         return self._publisher.names()
@@ -364,10 +356,7 @@ class ShardWorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        if self._publisher is not None:
-            self._publisher.close()
-            self._publisher = None
-        _SEGMENT_PIDS.pop(self.token, None)
+        self._drop_segments()
         _RUNTIMES.pop(self.token, None)
 
     def __enter__(self) -> "ShardWorkerPool":

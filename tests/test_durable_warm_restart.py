@@ -1,7 +1,7 @@
 """Warm restart: a reopened engine serves its first query already warm.
 
 The planner-state half of the durable tier (``repro.durable.state``), pinned
-on the figure-31 calibration workload — clustered data shaped so the static
+on a calibration workload — clustered data shaped so the static
 cost model mispredicts and the feedback loop must demote its way to the
 right plan.  A *cold* engine pays that convergence (mispredictions,
 demotions, plan re-derivations).  A durable engine that converged **before**
@@ -30,7 +30,7 @@ from repro.stream.delta import result_rows
 EXTENT = Rect(0.0, 0.0, 40_000.0, 40_000.0)
 FOCAL = Point(20_000.0, 20_000.0)
 CELLS = 64  # fine grid: many blocks for the mispredicted plan to examine
-CONVERGENCE_RUNS = 5  # matches the figure-31 warm-up
+CONVERGENCE_RUNS = 5  # three strategies → at most a few demotions
 
 
 def disk(n: int, radius: float, seed: int, start_pid: int) -> list[Point]:
@@ -48,7 +48,7 @@ def disk(n: int, radius: float, seed: int, start_pid: int) -> list[Point]:
 
 
 def workload() -> tuple[list[Point], list[Point], Query]:
-    """The figure-31 shape at smoke scale (see ``repro.bench.workloads``).
+    """The canonical mispredicted shape at smoke scale.
 
     A dense outer cluster around the selection focal (the static heuristic
     picks Block-Marking) over an inner cluster tighter than a block diagonal

@@ -220,9 +220,7 @@ def test_algebra_matches_reference_serial_sharded(scenario):
 @settings(max_examples=5, deadline=None)
 def test_algebra_matches_reference_process_shm(scenario):
     pts_a, pts_b, trees = scenario
-    proc = ShardedEngine(
-        num_shards=2, backend="process", max_workers=2, segment_mode="auto", seed=1
-    )
+    proc = ShardedEngine(num_shards=2, backend="process", max_workers=2, seed=1)
     try:
         _register(proc, pts_a, pts_b)
         for tree in trees:

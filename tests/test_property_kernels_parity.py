@@ -123,9 +123,7 @@ def test_process_shm_attach_matches_unsharded(scenario):
     pts_a, pts_b, k, focal, insert = scenario
     queries = build_queries(k, focal)
     flat = _register(SpatialEngine(), pts_a, pts_b)
-    proc = ShardedEngine(
-        num_shards=2, backend="process", max_workers=2, segment_mode="auto", seed=1
-    )
+    proc = ShardedEngine(num_shards=2, backend="process", max_workers=2, seed=1)
     try:
         _register(proc, pts_a, pts_b)
         assert _run_all(proc, queries) == _run_all(flat, queries)

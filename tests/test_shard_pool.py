@@ -1,4 +1,4 @@
-"""Worker-pool plumbing: CPU detection, width clamping, segment modes."""
+"""Worker-pool plumbing: CPU detection, width clamping, segment publishing."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.shard.pool import (
     BACKENDS,
-    SEGMENT_MODES,
     ShardWorkerPool,
     available_cpus,
     resolve_backend,
@@ -64,14 +63,8 @@ def test_pool_default_width_is_affinity_bounded():
         pool.close()
 
 
-def test_pool_rejects_unknown_segment_mode():
-    with pytest.raises(InvalidParameterError):
-        ShardWorkerPool("tok-seg", {}, backend="serial", segments="maybe")
-    assert SEGMENT_MODES == ("auto", "off")
-
-
 def test_serial_pool_never_publishes_segments():
-    pool = ShardWorkerPool("tok-serial", {}, backend="serial", segments="auto")
+    pool = ShardWorkerPool("tok-serial", {}, backend="serial")
     try:
         assert not pool.segments_enabled
         assert pool.segment_names() == {}
