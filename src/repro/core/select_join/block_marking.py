@@ -28,26 +28,35 @@ applies only once a contour has started (``M > 0``); the literal pseudocode
 would exit immediately because ``M`` is initialised to 0.
 
 Columnar behaviour: blocks hold member-row arrays, not point objects, so the
-preprocessing pass touches no points at all — only the Contributing blocks'
-rows are materialized in the join phase, and each per-point neighborhood
-intersection runs on pid arrays (:meth:`Neighborhood.intersection`).
+preprocessing pass touches no points at all; it probes the block centres in
+MINDIST-order slices through the batched ``getkNN``.  Only the Contributing
+blocks' rows are materialized in the join phase, whose neighborhoods come
+from one batch and are intersected with the selection by one ``isin`` over
+all their members.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterator
 
+from repro.core.select_join._join_phase import join_with_selection
 from repro.core.stats import PruningStats
 from repro.exceptions import InvalidParameterError
 from repro.geometry.point import Point
 from repro.index.base import SpatialIndex
 from repro.index.block import Block
+from repro.index.orderings import BlockDistance
 from repro.locality.batch import get_knn_batch
 from repro.locality.knn import get_knn
 from repro.locality.neighborhood import Neighborhood
 from repro.operators.results import JoinPair
 
 __all__ = ["select_join_block_marking", "preprocess_contributing_blocks"]
+
+#: Block centres probed per ``get_knn_batch`` call while marking.  Small
+#: enough that a contour closing early wastes at most a few probes.
+_PROBE_SLICE = 16
 
 
 def preprocess_contributing_blocks(
@@ -87,7 +96,7 @@ def preprocess_contributing_blocks(
     contributing: list[Block] = []
     contour_maxdist = 0.0  # The paper's M; 0 means "no open contour".
     examined = 0
-    for entry in outer_index.mindist_order(focal):
+    for entry, center, r in _probed_centers(outer_index.mindist_order(focal), inner_index, k_join):
         block = entry.block
         if contour_maxdist > 0.0 and entry.distance >= contour_maxdist:
             # A full cycle of Non-Contributing blocks has been closed: every
@@ -104,9 +113,6 @@ def preprocess_contributing_blocks(
         # contour depends on the same geometric condition: the contour's
         # early-exit argument needs every block of the closed cycle to satisfy
         # the shielding inequality.
-        center = block.center
-        center_neighborhood = get_knn(inner_index, center, k_join)
-        r = center_neighborhood.farthest_distance
         f_center = center.distance_to(focal)
         if r + block.diagonal + f_farthest < f_center:
             # Non-Contributing: every point of the block has k_join E2 points
@@ -122,6 +128,24 @@ def preprocess_contributing_blocks(
                     stats.blocks_contributing += 1
             contour_maxdist = 0.0  # Start a new cycle.
     return contributing
+
+
+def _probed_centers(
+    entries: Iterator[BlockDistance], inner_index: SpatialIndex, k_join: int
+) -> Iterator[tuple[BlockDistance, Point, float]]:
+    """``(entry, block centre, r)`` for ``entries`` in order, probed in slices.
+
+    ``r`` is the distance from the centre to the farthest of its ``k_join``
+    nearest E2 points.  The centres of :data:`_PROBE_SLICE` consecutive
+    entries share one ``get_knn_batch`` call; the generator is lazy, so a
+    caller that stops at a closed contour never probes the slices behind it.
+    """
+    while batch := list(islice(entries, _PROBE_SLICE)):
+        centers = [entry.block.center for entry in batch]
+        for entry, center, neighborhood in zip(
+            batch, centers, get_knn_batch(inner_index, centers, k_join)
+        ):
+            yield entry, center, neighborhood.farthest_distance
 
 
 def select_join_block_marking(
@@ -160,20 +184,11 @@ def select_join_block_marking(
         outer_index, inner_index, focal, selection, k_join, stats=stats
     )
 
-    # Join phase: only the Contributing blocks' rows are materialized, their
-    # neighborhoods are computed through the batched columnar kernel, and
-    # each intersection runs on pid arrays.
+    # Join phase: only the Contributing blocks' rows are materialized.
     outer_points: list[Point] = []
     for block in contributing:
         outer_points.extend(block.points)
     if stats is not None:
         stats.neighborhoods_computed += len(outer_points)
-    pairs: list[JoinPair] = []
-    for e1, neighborhood in zip(
-        outer_points, get_knn_batch(inner_index, outer_points, k_join)
-    ):
-        for e2 in neighborhood.intersection(selection):
-            pairs.append(JoinPair(e1, e2))
-    if stats is not None:
         stats.points_pruned += outer_index.num_points - len(outer_points)
-    return pairs
+    return join_with_selection(outer_points, inner_index, selection, k_join)

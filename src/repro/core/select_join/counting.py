@@ -21,9 +21,10 @@ Since the columnar refactor the prune phase runs as array kernels over the
 whole outer relation at once: search thresholds come from one chunked
 distance-matrix pass against the selection's coordinate columns, the
 block-count test from a chunked MAXDIST matrix against E2's block-bound
-table.  Only the surviving outer rows are materialized as points (each then
-runs the ordinary ``getkNN`` + vectorized intersection); a pruned row never
-becomes a Python object.
+table.  Only the surviving outer rows are materialized as points; their
+neighborhoods come from one batched ``getkNN`` and are intersected with the
+selection by one ``isin`` over all their members.  A pruned row never becomes
+a Python object.
 
 Deviation from the paper's pseudocode (see DESIGN.md, "Tie handling"): a block
 is counted only when its MAXDIST is *strictly* below the search threshold,
@@ -36,11 +37,11 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core.select_join._join_phase import join_with_selection
 from repro.core.stats import PruningStats
 from repro.exceptions import InvalidParameterError
 from repro.geometry.point import Point
 from repro.index.base import SpatialIndex
-from repro.locality.batch import get_knn_batch
 from repro.locality.knn import get_knn
 from repro.locality.neighborhood import Neighborhood
 from repro.operators.results import JoinPair
@@ -104,13 +105,7 @@ def select_join_counting(
 
     if stats is not None:
         stats.neighborhoods_computed += len(outer_points)
-    pairs: list[JoinPair] = []
-    for e1, neighborhood in zip(
-        outer_points, get_knn_batch(inner_index, outer_points, k_join)
-    ):
-        for e2 in neighborhood.intersection(selection):
-            pairs.append(JoinPair(e1, e2))
-    return pairs
+    return join_with_selection(outer_points, inner_index, selection, k_join)
 
 
 def _surviving_rows(

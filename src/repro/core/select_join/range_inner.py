@@ -23,37 +23,19 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
+from repro import kernels
+from repro.core.select_join._join_phase import filtered_join_pairs
 from repro.core.stats import PruningStats
 from repro.exceptions import InvalidParameterError
 from repro.geometry.distance import mindist_point_rect
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index.base import SpatialIndex
+from repro.locality.batch import get_knn_batch
 from repro.locality.knn import get_knn
-from repro.locality.neighborhood import Neighborhood
 from repro.operators.results import JoinPair
 
 __all__ = ["range_inner_join_baseline", "range_inner_join_block_marking"]
-
-
-def _pairs_in_window(e1: Point, nbr: Neighborhood, window: Rect) -> list[JoinPair]:
-    """Pairs for the members of ``nbr`` inside ``window`` (columnar filter).
-
-    The window test runs over the neighborhood's coordinate columns; only
-    matching members are materialized.
-    """
-    coords = nbr.coords
-    if not len(coords):
-        return []
-    mask = (
-        (coords[:, 0] >= window.xmin)
-        & (coords[:, 0] <= window.xmax)
-        & (coords[:, 1] >= window.ymin)
-        & (coords[:, 1] <= window.ymax)
-    )
-    return [JoinPair(e1, nbr._member_at(int(i))) for i in np.nonzero(mask)[0]]
 
 
 def range_inner_join_baseline(
@@ -83,34 +65,47 @@ def range_inner_join_block_marking(
 
     Produces exactly the same pairs as :func:`range_inner_join_baseline` over
     the points of ``outer_index``.
+
+    Both phases are batched: one ``get_knn_batch`` probes the centres of all
+    non-empty outer blocks, a second one computes the neighborhoods of every
+    point of the Contributing blocks, and the window test is one closed-
+    rectangle mask over all their neighbours' store columns.  Only neighbours
+    inside the window are materialized.
     """
     if k_join <= 0:
         raise InvalidParameterError("k_join must be positive")
 
-    pairs: list[JoinPair] = []
-    pruned_points = 0
-    for block in outer_index.blocks:
-        if block.is_empty:
-            continue
-        if stats is not None:
-            stats.blocks_examined += 1
-        center = block.center
-        center_neighborhood = get_knn(inner_index, center, k_join)
-        reach = center_neighborhood.farthest_distance + block.diagonal
-        if mindist_point_rect(center, window) > reach:
-            # No point of this block can have a k-neighborhood that reaches
-            # into the window; skip the whole block.
-            if stats is not None:
-                stats.blocks_pruned += 1
-            pruned_points += block.count
-            continue
-        if stats is not None:
-            stats.blocks_contributing += 1
-        for e1 in block:
-            if stats is not None:
-                stats.neighborhoods_computed += 1
-            neighborhood = get_knn(inner_index, e1, k_join)
-            pairs.extend(_pairs_in_window(e1, neighborhood, window))
+    blocks = [block for block in outer_index.blocks if not block.is_empty]
+    if not blocks:
+        return []
+    centers = [block.center for block in blocks]
+    # A block is skipped when no point of it can have a k-neighborhood that
+    # reaches into the window: MINDIST(c, window) > r + d.
+    contributing = [
+        block
+        for block, center, center_neighborhood in zip(
+            blocks, centers, get_knn_batch(inner_index, centers, k_join)
+        )
+        if mindist_point_rect(center, window)
+        <= center_neighborhood.farthest_distance + block.diagonal
+    ]
+    outer_points: list[Point] = []
+    for block in contributing:
+        outer_points.extend(block.points)
     if stats is not None:
-        stats.points_pruned += pruned_points
-    return pairs
+        stats.blocks_examined += len(blocks)
+        stats.blocks_pruned += len(blocks) - len(contributing)
+        stats.blocks_contributing += len(contributing)
+        stats.neighborhoods_computed += len(outer_points)
+        stats.points_pruned += outer_index.num_points - len(outer_points)
+    return filtered_join_pairs(
+        outer_points,
+        inner_index,
+        k_join,
+        row_mask=lambda store, rows: kernels.window_mask(
+            store.xs[rows], store.ys[rows], window.xmin, window.ymin, window.xmax, window.ymax
+        ),
+        kept_members=lambda neighborhood: [
+            e2 for e2 in neighborhood if window.contains_point(e2)
+        ],
+    )

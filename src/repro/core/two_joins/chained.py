@@ -112,27 +112,36 @@ def chained_joins_nested(
     if neighborhood_cache is None:
         neighborhood_cache = {}
     a_list = a_points if isinstance(a_points, list) else list(a_points)
-    triplets: list[JoinTriplet] = []
-    for a, b_neighborhood in zip(a_list, get_knn_batch(b_index, a_list, k_ab)):
-        # Probe the cache with the pid column; the member points themselves
-        # are materialized once (they appear in every output triplet anyway).
-        b_pids = b_neighborhood.pid_array.tolist()
-        for b, b_pid in zip(b_neighborhood.points, b_pids):
-            if cache:
-                c_neighborhood = neighborhood_cache.get(b_pid)
-                if c_neighborhood is None:
-                    if stats is not None:
-                        stats.cache_misses += 1
-                        stats.neighborhoods_computed += 1
-                    c_neighborhood = get_knn(c_index, b, k_bc)
-                    neighborhood_cache[b_pid] = c_neighborhood
-                else:
-                    if stats is not None:
-                        stats.cache_hits += 1
-            else:
-                if stats is not None:
-                    stats.neighborhoods_computed += 1
-                c_neighborhood = get_knn(c_index, b, k_bc)
-            for c in c_neighborhood:
-                triplets.append(JoinTriplet(a, b, c))
-    return triplets
+    # Every (a, b) row of the first join, flat.  The B members are
+    # materialized once: they appear in every output triplet anyway.
+    b_members = [nbr.points for nbr in get_knn_batch(b_index, a_list, k_ab)]
+    a_of = [a for a, members in zip(a_list, b_members) for _ in members]
+    b_of = [b for members in b_members for b in members]
+
+    if cache:
+        # The distinct B points of the whole batch that the cache does not
+        # hold yet, in first-lookup order: one batched probe computes all
+        # their C-neighborhoods.  Every other lookup is a hit, exactly as if
+        # the rows had been probed one at a time.
+        missing: dict[int, Point] = {}
+        for b in b_of:
+            if b.pid not in neighborhood_cache:
+                missing.setdefault(b.pid, b)
+        if missing:
+            neighborhood_cache.update(
+                zip(missing, get_knn_batch(c_index, list(missing.values()), k_bc))
+            )
+        if stats is not None:
+            stats.cache_misses += len(missing)
+            stats.neighborhoods_computed += len(missing)
+            stats.cache_hits += len(b_of) - len(missing)
+        c_of = [neighborhood_cache[b.pid] for b in b_of]
+    else:
+        if stats is not None:
+            stats.neighborhoods_computed += len(b_of)
+        c_of = get_knn_batch(c_index, b_of, k_bc) if b_of else []
+    return [
+        JoinTriplet(a, b, c)
+        for a, b, c_neighborhood in zip(a_of, b_of, c_of)
+        for c in c_neighborhood.points
+    ]

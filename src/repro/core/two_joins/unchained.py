@@ -27,8 +27,7 @@ from repro.geometry.point import Point
 from repro.index.base import SpatialIndex
 from repro.index.block import Block
 from repro.index.stats import IndexStats
-from repro.locality.batch import get_knn_batch
-from repro.locality.knn import get_knn
+from repro.locality.batch import flatten_neighborhoods, get_knn_batch
 from repro.operators.intersection import intersect_pairs_on_inner
 from repro.operators.knn_join import knn_join_pairs
 from repro.operators.results import JoinPair, JoinTriplet
@@ -97,52 +96,46 @@ def _contributing_blocks(
     ``k``-neighborhood radius plus the block diagonal) is Safe; otherwise it is
     Contributing.
 
-    The per-center Candidate tests (containment, MINDIST ≤ threshold) run
-    vectorized over a ``(num_candidates, 4)`` bound table instead of looping
-    Python rectangles.
+    The Candidate tests (containment, MINDIST ≤ threshold) run as
+    ``(centers x candidates)`` matrix tests against the Candidate bound
+    table, and the centers that need their ``k``-neighborhood radius are
+    probed by one ``get_knn_batch``.
     """
-    blocks_by_id = {b.block_id: b for b in b_index.blocks}
-    candidate_blocks = [blocks_by_id[i] for i in sorted(candidate_ids)]
-    if candidate_blocks:
-        cand_bounds = np.array(
-            [cb.rect.as_tuple() for cb in candidate_blocks], dtype=np.float64
-        )
-        cxmin, cymin, cxmax, cymax = cand_bounds.T
-    contributing: list[Block] = []
-    for block in second_outer_index.blocks:
-        if block.is_empty:
-            continue
+    blocks = [block for block in second_outer_index.blocks if not block.is_empty]
+    if stats is not None:
+        stats.blocks_examined += len(blocks)
+    if not blocks or not candidate_ids:
         if stats is not None:
-            stats.blocks_examined += 1
-        if not candidate_blocks:
-            if stats is not None:
-                stats.blocks_pruned += 1
-            continue
-        center = block.center
-        # Cheap shortcut: if the center already lies inside a Candidate block,
-        # the threshold disk trivially touches a Candidate block.
-        inside = (
-            (cxmin <= center.x)
-            & (center.x <= cxmax)
-            & (cymin <= center.y)
-            & (center.y <= cymax)
+            stats.blocks_pruned += len(blocks)
+        return []
+    blocks_by_id = {b.block_id: b for b in b_index.blocks}
+    cxmin, cymin, cxmax, cymax = np.array(
+        [blocks_by_id[i].rect.as_tuple() for i in sorted(candidate_ids)], dtype=np.float64
+    ).T
+    centers = [block.center for block in blocks]
+    x = np.array([c.x for c in centers])[:, None]
+    y = np.array([c.y for c in centers])[:, None]
+    # Cheap shortcut: if the center already lies inside a Candidate block,
+    # the threshold disk trivially touches a Candidate block.
+    reaches = ((cxmin <= x) & (x <= cxmax) & (cymin <= y) & (y <= cymax)).any(axis=1)
+    # Every other center is probed, all of them in one batch.
+    probed = np.nonzero(~reaches)[0]
+    if len(probed):
+        neighborhoods = get_knn_batch(b_index, [centers[i] for i in probed.tolist()], k_second)
+        threshold = np.array(
+            [
+                nbr.farthest_distance + blocks[i].diagonal
+                for i, nbr in zip(probed.tolist(), neighborhoods)
+            ]
         )
-        if inside.any():
-            contributing.append(block)
-            if stats is not None:
-                stats.blocks_contributing += 1
-            continue
-        neighborhood = get_knn(b_index, center, k_second)
-        threshold = neighborhood.farthest_distance + block.diagonal
-        dx = np.maximum(0.0, np.maximum(cxmin - center.x, center.x - cxmax))
-        dy = np.maximum(0.0, np.maximum(cymin - center.y, center.y - cymax))
-        if (np.hypot(dx, dy) <= threshold).any():
-            contributing.append(block)
-            if stats is not None:
-                stats.blocks_contributing += 1
-        else:
-            if stats is not None:
-                stats.blocks_pruned += 1
+        px, py = x[probed], y[probed]
+        dx = np.maximum(0.0, np.maximum(cxmin - px, px - cxmax))
+        dy = np.maximum(0.0, np.maximum(cymin - py, py - cymax))
+        reaches[probed] = (np.hypot(dx, dy) <= threshold[:, None]).any(axis=1)
+    contributing = [block for block, keep in zip(blocks, reaches.tolist()) if keep]
+    if stats is not None:
+        stats.blocks_contributing += len(contributing)
+        stats.blocks_pruned += len(blocks) - len(contributing)
     return contributing
 
 
@@ -188,17 +181,31 @@ def unchained_joins_block_marking(
     for pair in ab_pairs:
         ab_by_inner[pair.inner.pid].append(pair)
 
-    # Second join over the Contributing blocks only, batched: the ∩B probe
-    # walks each neighborhood's pid column and materializes no B point that
-    # is not already part of an AB pair.
+    # Second join over the Contributing blocks only, batched.  The ∩B probe
+    # is one ``isin`` over the pid column of all the neighborhoods' members;
+    # no B point is materialized that is not already part of an AB pair.
     c_points: list[Point] = []
     for block in contributing:
         c_points.extend(block.points)
-    triplets: list[JoinTriplet] = []
-    for c, neighborhood in zip(c_points, get_knn_batch(b_index, c_points, k_cb)):
-        for b_pid in neighborhood.pid_array.tolist():
-            for ab in ab_by_inner.get(b_pid, ()):
-                triplets.append(JoinTriplet(ab.outer, ab.inner, c))
+    neighborhoods = get_knn_batch(b_index, c_points, k_cb)
+    flat = flatten_neighborhoods(neighborhoods)
+    if flat is None:
+        probes = (
+            (i, b_pid)
+            for i, neighborhood in enumerate(neighborhoods)
+            for b_pid in neighborhood.pid_array.tolist()
+        )
+    else:
+        store, owner, rows = flat
+        b_pids = store.pids[rows]
+        joined = np.fromiter(ab_by_inner, dtype=np.int64, count=len(ab_by_inner))
+        hits = np.nonzero(np.isin(b_pids, joined))[0]
+        probes = zip(owner[hits].tolist(), b_pids[hits].tolist())
+    triplets = [
+        JoinTriplet(ab.outer, ab.inner, c_points[i])
+        for i, b_pid in probes
+        for ab in ab_by_inner.get(b_pid, ())
+    ]
     if stats is not None:
         stats.neighborhoods_computed += len(c_points)
         stats.points_pruned += c_index.num_points - len(c_points)

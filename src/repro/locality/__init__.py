@@ -20,7 +20,7 @@ from repro.locality.knn import (
     neighborhood_from_blocks,
     neighborhood_from_blocks_object,
 )
-from repro.locality.batch import get_knn_batch
+from repro.locality.batch import flatten_neighborhoods, get_knn_batch
 from repro.locality.brute import brute_force_knn
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "build_locality",
     "get_knn",
     "get_knn_batch",
+    "flatten_neighborhoods",
     "neighborhood_from_blocks",
     "neighborhood_from_blocks_object",
     "brute_force_knn",

@@ -50,8 +50,9 @@ from repro.geometry.point import Point
 from repro.index.base import SpatialIndex
 from repro.locality.knn import get_knn
 from repro.locality.neighborhood import Neighborhood
+from repro.storage.pointstore import PointStore
 
-__all__ = ["get_knn_batch"]
+__all__ = ["get_knn_batch", "flatten_neighborhoods"]
 
 #: Query rows per chunk; bounds each (chunk x num_blocks) matrix to a few MB.
 _BATCH_CHUNK = 256
@@ -144,6 +145,31 @@ def get_knn_batch(
             )
             out.append(Neighborhood.from_rows(q, k, store, sels[row], dists[row]))
     return out
+
+
+def flatten_neighborhoods(
+    neighborhoods: Sequence[Neighborhood],
+) -> tuple[PointStore, np.ndarray, np.ndarray] | None:
+    """The members of a batch of lazy neighborhoods as two flat columns.
+
+    Returns ``(store, owner, rows)``: ``rows[i]`` is a member row of
+    ``neighborhoods[owner[i]]`` in the shared ``store``, neighborhood after
+    neighborhood, each in its ``(distance, pid)`` order (ragged lengths are
+    fine).  A post-filter over a whole batch is then one array operation on
+    ``rows`` instead of one per neighborhood.  ``None`` when there is nothing
+    to share — an empty batch, eager neighborhoods (built from point objects
+    or unpickled), or neighborhoods over different stores; callers then walk
+    the neighborhood objects.
+    """
+    if not neighborhoods:
+        return None
+    store = neighborhoods[0].store
+    if store is None or any(nbr.store is not store for nbr in neighborhoods):
+        return None
+    owner = np.repeat(
+        np.arange(len(neighborhoods)), [len(nbr) for nbr in neighborhoods]
+    )
+    return store, owner, np.concatenate([nbr.rows for nbr in neighborhoods])
 
 
 def _rank_groups(store, members, block_mask, focals, cx, cy, k, sels, dists, kth) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from test_property_stream_parity import build_queries, resolve_batch, update_batches
 
@@ -126,5 +126,20 @@ def check_parity(scenario):
 
 @given(scenario=scenarios())
 @settings(max_examples=25, deadline=None)
+@example(
+    # Found by Hypothesis: two batches of two removals shrink relation ``b``
+    # 4 -> 2 -> (unguarded) 0.  ``resolve_batch`` must stop at one survivor.
+    scenario=(
+        [Point(0.0, 0.0, i) for i in range(10)],
+        [Point(0.0, 0.0, 100_000 + i) for i in range(4)],
+        [
+            ("batch", "a", ([], [], [])),
+            ("batch", "b", ([], [0, 1], [])),
+            ("batch", "b", ([], [0, 1], [])),
+        ],
+        1,
+        Point(0.0, 0.0),
+    ),
+)
 def test_recovered_engine_matches_never_crashed_oracle(scenario):
     check_parity(scenario)

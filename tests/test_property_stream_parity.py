@@ -64,7 +64,9 @@ def resolve_batch(spec, store) -> UpdateBatch:
     used: set[int] = set()
     removes: list[int] = []
     for idx in remove_idx:
-        if len(alive) <= 1:
+        # Guard on the population the batch leaves behind, not the one it
+        # starts from: two removals against a 2-point relation would empty it.
+        if len(alive) - len(removes) <= 1:
             break
         pid = int(alive[idx % len(alive)])
         if pid not in used:
