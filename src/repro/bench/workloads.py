@@ -15,6 +15,7 @@ behaviour of the algorithms is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from repro.core.select_join.baseline import select_join_baseline
@@ -344,9 +345,10 @@ def _fig26(scale: float) -> FigureWorkload:
         k2 = k1 * (2**log_ratio)
         points = berlinmod_snapshot(n=size, seed=2600)
         index = _grid(points)
+        # Partials, so a caller can read the arguments back and pass ``stats=``.
         return {
-            "conceptual-qep": lambda: two_knn_selects_baseline(index, f1, k1, f2, k2),
-            "2-knn-select": lambda: two_knn_selects_optimized(index, f1, k1, f2, k2),
+            "conceptual-qep": partial(two_knn_selects_baseline, index, f1, k1, f2, k2),
+            "2-knn-select": partial(two_knn_selects_optimized, index, f1, k1, f2, k2),
         }
 
     return FigureWorkload(

@@ -37,13 +37,11 @@ pseudocode's MAXDIST-based break, which is not monotone in a MINDIST ordering.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.stats import PruningStats
 from repro.exceptions import EmptyDatasetError, InvalidParameterError
 from repro.geometry.point import Point
 from repro.index.base import SpatialIndex
-from repro.locality.knn import get_knn, maxdist_phase_bound, neighborhood_from_blocks
+from repro.locality.knn import block_phase, get_knn, neighborhood_from_blocks
 from repro.operators.intersection import intersect_points
 
 __all__ = ["two_knn_selects_optimized"]
@@ -89,17 +87,11 @@ def two_knn_selects_optimized(
         return []
     search_threshold = small.distance_to_farthest_member(focal2)
 
-    # MAXDIST phase: find the bound M guaranteeing >= k2 points within M of f2
-    # (one vectorized cumsum over the MAXDIST ordering — see maxdist_phase_bound).
-    counts = index.block_counts
-    maxdists = index.maxdists(focal2)
-    maxdist_bound = maxdist_phase_bound(counts, maxdists, k2)
-
-    # Restricted locality: blocks with MINDIST <= min(M, searchThreshold).
-    cutoff = min(maxdist_bound, search_threshold)
-    mindists = index.mindists(focal2)
-    mask = (mindists <= cutoff) & (counts > 0)
-    locality_blocks = [index.blocks[i] for i in np.nonzero(mask)[0]]
+    # Restricted locality: the MAXDIST phase finds the bound M guaranteeing
+    # >= k2 points within M of f2; admit the blocks with MINDIST <=
+    # min(M, searchThreshold).
+    block_ids, _bound = block_phase(index, focal2, k2, cutoff=search_threshold)
+    locality_blocks = [index.blocks[i] for i in block_ids.tolist()]
     if stats is not None:
         stats.locality_blocks += len(locality_blocks)
         stats.blocks_examined += index.num_blocks

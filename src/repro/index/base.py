@@ -38,7 +38,9 @@ class SpatialIndex(abc.ABC):
         self._bounds: Rect | None = None
         self._store: PointStore | None = None
         self._block_bounds: np.ndarray = np.empty((0, 4), dtype=np.float64)
+        self._bound_columns: np.ndarray = np.empty((4, 0), dtype=np.float64)
         self._block_counts: np.ndarray = np.empty(0, dtype=np.int64)
+        self._all_block_ids: np.ndarray = np.empty(0, dtype=np.int64)
         self._row_block_ids: np.ndarray | None = None
         self._block_members: tuple[np.ndarray, ...] | None = None
         self._num_points = 0
@@ -68,6 +70,11 @@ class SpatialIndex(abc.ABC):
         else:
             self._block_bounds = np.empty((0, 4), dtype=np.float64)
             self._block_counts = np.empty(0, dtype=np.int64)
+        # Contiguous xmin / ymin / xmax / ymax rows: what the one-point kernels
+        # and the gather of ``candidate_blocks`` ids read, instead of the
+        # strided views of ``_block_bounds.T``.
+        self._bound_columns = np.ascontiguousarray(self._block_bounds.T)
+        self._all_block_ids = np.arange(len(self._blocks), dtype=np.int64)
         self._num_points = int(self._block_counts.sum())
         self._block_members = None
 
@@ -108,6 +115,12 @@ class SpatialIndex(abc.ABC):
         phases of the core algorithms) all read from this one table.
         """
         return self._block_bounds
+
+    @property
+    def bound_columns(self) -> np.ndarray:
+        """:attr:`block_bounds` column-major: a contiguous ``(4, num_blocks)``
+        array whose rows are the ``xmin, ymin, xmax, ymax`` columns."""
+        return self._bound_columns
 
     @property
     def block_members(self) -> tuple[np.ndarray, ...]:
@@ -162,15 +175,26 @@ class SpatialIndex(abc.ABC):
         """MINDIST from ``p`` to every block, aligned with :attr:`blocks`."""
         if self._block_bounds.size == 0:
             return np.empty(0, dtype=np.float64)
-        xmin, ymin, xmax, ymax = self._block_bounds.T
-        return kernels.point_block_mindists(p.x, p.y, xmin, ymin, xmax, ymax)
+        return kernels.point_block_mindists(p.x, p.y, *self._bound_columns)
 
     def maxdists(self, p: Point) -> np.ndarray:
         """MAXDIST from ``p`` to every block, aligned with :attr:`blocks`."""
         if self._block_bounds.size == 0:
             return np.empty(0, dtype=np.float64)
-        xmin, ymin, xmax, ymax = self._block_bounds.T
-        return kernels.point_block_maxdists(p.x, p.y, xmin, ymin, xmax, ymax)
+        return kernels.point_block_maxdists(p.x, p.y, *self._bound_columns)
+
+    def candidate_blocks(self, p: Point, k: int) -> np.ndarray:
+        """Ascending ids of the blocks the locality of ``(p, k)`` can draw on.
+
+        The contract: with ``M`` the exact MAXDIST-phase bound of ``(p, k)``
+        (see :func:`repro.locality.knn.block_phase`), the result holds every
+        block with MAXDIST <= ``M`` and every block with MINDIST <= ``M`` —
+        so ``M`` and the locality computed over the candidates alone equal
+        the ones computed over all blocks.  The default is every block;
+        indexes whose geometry lets them bound ``M`` cheaply (the grid)
+        return fewer.  Callers must not write to the array.
+        """
+        return self._all_block_ids
 
     # ------------------------------------------------------------------
     # Orderings (Section 2 of the paper)

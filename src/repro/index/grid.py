@@ -8,7 +8,10 @@ effectiveness of our algorithms even with simple structures."
 The grid partitions the dataset bounds into ``cells_per_side x cells_per_side``
 equal cells.  Every cell is a block, including empty cells (empty blocks are
 kept so that MINDIST/MAXDIST contours are complete; they carry a zero count
-and are skipped quickly by every algorithm).
+and are skipped quickly by every algorithm), so a block's id is always its
+row-major cell number ``iy * cells_per_side + ix`` — which is what lets
+:meth:`GridIndex.candidate_blocks` name the blocks a locality can reach by
+cell arithmetic alone.
 
 Construction is columnar: the builder accepts a
 :class:`~repro.storage.pointstore.PointStore` (or any iterable of points,
@@ -33,6 +36,26 @@ from repro.storage.pointstore import PointStore
 from repro.storage.update import StoreChange
 
 __all__ = ["GridIndex"]
+
+
+def _clamped_index(offset: float, width: float, last: int) -> int:
+    """Cell number of ``offset`` along one axis, clamped to ``0..last``."""
+    if width > 0:
+        cells = offset / width
+        if cells >= last:
+            return last
+        if cells > 0:
+            return int(cells)
+    return 0
+
+
+def _count_table(counts: np.ndarray, side: int) -> np.ndarray:
+    """Summed-area table of the per-cell counts: ``table[y, x]`` is the number
+    of points in cells ``[0, x) x [0, y)``, so any cell window sums in four
+    lookups."""
+    table = np.zeros((side + 1, side + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(counts.reshape(side, side), axis=0), axis=1, out=table[1:, 1:])
+    return table
 
 
 def _group_by_cell(cells: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
@@ -70,8 +93,6 @@ class GridIndex(SpatialIndex):
         block marking (see DESIGN.md note 2).
     target_points_per_cell:
         Sizing hint used only when ``cells_per_side`` is not given.
-    keep_empty_cells:
-        Whether to materialize empty cells as blocks (default ``True``).
     """
 
     def __init__(
@@ -80,7 +101,6 @@ class GridIndex(SpatialIndex):
         cells_per_side: int | None = None,
         bounds: Rect | None = None,
         target_points_per_cell: int = 64,
-        keep_empty_cells: bool = True,
     ) -> None:
         super().__init__()
         store = self._as_store(points)
@@ -136,22 +156,20 @@ class GridIndex(SpatialIndex):
             for start, group in zip(np.concatenate(([0], boundaries)), groups)
         }
 
-        blocks: list[Block] = []
-        self._cell_to_block: dict[tuple[int, int], Block] = {}
-        block_id = 0
-        for cy in range(self.cells_per_side):
-            for cx in range(self.cells_per_side):
-                cell_members = members_by_cell.get(cy * self.cells_per_side + cx)
-                if cell_members is None and not keep_empty_cells:
-                    continue
-                rect = self._cell_rect(cx, cy, bounds, extent)
-                block = Block(
-                    block_id, rect, tag=(cx, cy), store=store, members=cell_members
-                )
-                blocks.append(block)
-                self._cell_to_block[(cx, cy)] = block
-                block_id += 1
+        # One block per cell in row-major order: block id == cell number.
+        blocks = [
+            Block(
+                cy * self.cells_per_side + cx,
+                self._cell_rect(cx, cy, bounds, extent),
+                tag=(cx, cy),
+                store=store,
+                members=members_by_cell.get(cy * self.cells_per_side + cx),
+            )
+            for cy in range(self.cells_per_side)
+            for cx in range(self.cells_per_side)
+        ]
         self._finalize(blocks, extent, store=store)
+        self._count_table = _count_table(self._block_counts, self.cells_per_side)
 
     # ------------------------------------------------------------------
     # Cell arithmetic
@@ -173,19 +191,15 @@ class GridIndex(SpatialIndex):
             iy = np.zeros(len(ys), dtype=np.int64)
         return ix, iy
 
-    def _cell_of(self, p: Point, bounds: Rect) -> tuple[int, int]:
-        """Return the (ix, iy) cell containing ``p``, clamped to the grid."""
-        if self._cell_width > 0:
-            ix = int((p.x - bounds.xmin) / self._cell_width)
-        else:
-            ix = 0
-        if self._cell_height > 0:
-            iy = int((p.y - bounds.ymin) / self._cell_height)
-        else:
-            iy = 0
-        ix = min(max(ix, 0), self.cells_per_side - 1)
-        iy = min(max(iy, 0), self.cells_per_side - 1)
-        return ix, iy
+    def _clamped_cell(self, x: float, y: float) -> tuple[int, int]:
+        """The ``(ix, iy)`` cell of a coordinate, clamped to the grid (the
+        scalar twin of :meth:`_cells_of`)."""
+        bounds = self._grid_bounds
+        last = self.cells_per_side - 1
+        return (
+            _clamped_index(x - bounds.xmin, self._cell_width, last),
+            _clamped_index(y - bounds.ymin, self._cell_height, last),
+        )
 
     def _cell_rect(self, ix: int, iy: int, bounds: Rect, extent: Rect) -> Rect:
         last = self.cells_per_side - 1
@@ -221,8 +235,7 @@ class GridIndex(SpatialIndex):
         grid extent — clamping it into an edge cell whose rectangle does not
         contain it would break the MINDIST lower bound — when the index
         already holds such points (its border rectangles were stretched to
-        them, which a rebuild would recompute), or when a destination cell
-        was not materialized (``keep_empty_cells=False``).
+        them, which a rebuild would recompute).
         """
         old_store = self._store
         bounds = self._grid_bounds
@@ -260,10 +273,6 @@ class GridIndex(SpatialIndex):
         add_rows = np.concatenate((moved_new[crossed], appended))
 
         add_by_cell = _group_by_cell(add_cells, add_rows)
-        for cell in add_by_cell:
-            cx, cy = cell % self.cells_per_side, cell // self.cells_per_side
-            if (cx, cy) not in self._cell_to_block:
-                return None  # destination cell not materialized
 
         # One boolean drop bitmap over old rows plus (when rows were removed)
         # one O(n) old→new renumber table — each block then repairs with
@@ -280,11 +289,8 @@ class GridIndex(SpatialIndex):
             )
         cps = self.cells_per_side
         blocks: list[Block] = []
-        cell_to_block: dict[tuple[int, int], Block] = {}
         counts = np.empty(len(self._blocks), dtype=np.int64)
-        for i, block in enumerate(self._blocks):
-            tag = block.tag
-            cell = tag[1] * cps + tag[0]
+        for cell, block in enumerate(self._blocks):  # block id == cell number
             members = block._members
             if cell in dropped_cells:
                 members = members[~drop_flags[members]]
@@ -302,10 +308,9 @@ class GridIndex(SpatialIndex):
             repaired_block._members = members
             repaired_block._points = None
             repaired_block._coords = None
-            repaired_block.tag = tag
-            counts[i] = len(members)
+            repaired_block.tag = block.tag
+            counts[cell] = len(members)
             blocks.append(repaired_block)
-            cell_to_block[tag] = repaired_block
 
         repaired = GridIndex.__new__(GridIndex)
         SpatialIndex.__init__(repaired)
@@ -313,14 +318,18 @@ class GridIndex(SpatialIndex):
         repaired._cell_width = self._cell_width
         repaired._cell_height = self._cell_height
         repaired._grid_bounds = bounds
-        repaired._cell_to_block = cell_to_block
         # Cell rectangles are untouched by any mutation: share the bound
-        # table with the parent index instead of re-deriving it.
+        # tables with the parent index instead of re-deriving them.  Only the
+        # counts — and the summed-area table over them — are new, and both
+        # are in place before the index is handed to any reader.
         repaired._blocks = tuple(blocks)
         repaired._bounds = bounds
         repaired._store = store
         repaired._block_bounds = self._block_bounds
+        repaired._bound_columns = self._bound_columns
+        repaired._all_block_ids = self._all_block_ids
         repaired._block_counts = counts
+        repaired._count_table = _count_table(counts, cps)
         repaired._num_points = len(store)
         return repaired
 
@@ -328,14 +337,64 @@ class GridIndex(SpatialIndex):
     # SpatialIndex interface
     # ------------------------------------------------------------------
     def locate(self, p: Point) -> Block | None:
-        """Return the grid cell containing ``p`` (``None`` if outside the grid)."""
-        if not self._grid_bounds.contains_point(p):
+        """Return the grid cell containing ``p`` (``None`` if outside the index).
+
+        "Outside" is judged against the index extent, not the declared grid
+        bounds: a point beyond the bounds that a stretched border cell's
+        rectangle reaches is a member of that (clamped) cell.
+        """
+        if not self.bounds.contains_point(p):
             return None
-        return self._cell_to_block.get(self._cell_of(p, self._grid_bounds))
+        ix, iy = self._clamped_cell(p.x, p.y)
+        return self._blocks[iy * self.cells_per_side + ix]
 
     def cell_block(self, ix: int, iy: int) -> Block | None:
         """Return the block for cell ``(ix, iy)`` if it exists."""
-        return self._cell_to_block.get((ix, iy))
+        side = self.cells_per_side
+        if 0 <= ix < side and 0 <= iy < side:
+            return self._blocks[iy * side + ix]
+        return None
+
+    def candidate_blocks(self, p: Point, k: int) -> np.ndarray:
+        """The cells the locality of ``(p, k)`` can reach, by cell arithmetic.
+
+        Grow a square cell window around ``p``'s (clamped) cell until the
+        summed-area table says it holds at least ``k`` points.  Every block of
+        the window lies within ``reach`` — the distance from ``p`` to the
+        farthest corner of the window's rectangle — so at least ``k`` points
+        do, and the exact MAXDIST-phase bound ``M`` cannot exceed ``reach``.
+        A block with MINDIST <= ``M`` (which every block with MAXDIST <= ``M``
+        is) therefore meets the box ``p ± reach``; the cells of that box,
+        padded by one cell against rounding in ``reach``, are returned in
+        row-major — ascending id — order.  With fewer than ``k`` points in the
+        relation ``M`` is infinite and every block is a candidate.
+        """
+        if self._num_points < k:
+            return self._all_block_ids
+        side = self.cells_per_side
+        last = side - 1
+        cx, cy = self._clamped_cell(p.x, p.y)
+        table = self._count_table
+        radius = 0
+        while True:  # ends: a window covering the grid holds num_points >= k
+            x0, x1 = max(cx - radius, 0), min(cx + radius, last)
+            y0, y1 = max(cy - radius, 0), min(cy + radius, last)
+            held = table[y1 + 1, x1 + 1] - table[y0, x1 + 1] - table[y1 + 1, x0] + table[y0, x0]
+            if held >= k:
+                break
+            radius += 1
+        xmin, ymin, xmax, ymax = self._bound_columns
+        low, high = y0 * side + x0, y1 * side + x1
+        reach = math.hypot(
+            max(abs(p.x - xmin[low]), abs(p.x - xmax[high])),
+            max(abs(p.y - ymin[low]), abs(p.y - ymax[high])),
+        )
+        x0, y0 = self._clamped_cell(p.x - reach, p.y - reach)
+        x1, y1 = self._clamped_cell(p.x + reach, p.y + reach)
+        x0, x1 = max(x0 - 1, 0), min(x1 + 1, last)
+        y0, y1 = max(y0 - 1, 0), min(y1 + 1, last)
+        rows = np.arange(y0 * side, (y1 + 1) * side, side, dtype=np.int64)
+        return (rows[:, None] + np.arange(x0, x1 + 1, dtype=np.int64)).ravel()
 
     @property
     def cell_size(self) -> tuple[float, float]:

@@ -14,7 +14,10 @@ query point, and only then looks at actual points:
 3. The neighborhood is computed by ranking the points of the locality blocks.
 
 ``get_knn`` is the single kNN entry point used by every operator and algorithm
-in the library.
+in the library.  Steps 1 and 2 are :func:`block_phase`, which looks only at
+the blocks :meth:`SpatialIndex.candidate_blocks` names — all of them by
+default, a cell window on a grid — and is shared with Procedure 5's
+restricted locality.
 
 Ranking is columnar: the locality blocks' ``int32`` member-row arrays are
 concatenated and distance + ``(distance, pid)`` ranking run as vectorized
@@ -41,11 +44,11 @@ from repro.storage.pointstore import PointStore
 
 __all__ = [
     "Locality",
+    "block_phase",
     "build_locality",
     "get_knn",
     "neighborhood_from_blocks",
     "neighborhood_from_blocks_object",
-    "maxdist_phase_bound",
     "rank_rows",
 ]
 
@@ -82,21 +85,40 @@ class Locality:
         return sum(b.count for b in self.blocks)
 
 
-def maxdist_phase_bound(counts: np.ndarray, maxdists: np.ndarray, k: int) -> float:
-    """The MAXDIST-phase bound ``M``: smallest prefix of the MAXDIST ordering
-    whose blocks hold at least ``k`` points.
+def block_phase(
+    index: SpatialIndex, p: Point, k: int, cutoff: float = float("inf")
+) -> tuple[np.ndarray, float]:
+    """The block phase of ``getkNN``: ``(locality block ids, M)``.
 
-    Equivalent to scanning blocks in stable MAXDIST order and accumulating
-    counts until ``k`` is reached (the crossing block cannot be empty, so
-    skipping empty blocks changes nothing), but runs as one cumsum instead of
-    a Python loop.
+    ``M`` is the MAXDIST-phase bound: the MAXDIST of the block at which a
+    scan in stable MAXDIST order has accumulated ``k`` points (the crossing
+    block cannot be empty, so empty blocks change nothing), ``inf`` when the
+    index holds fewer.  At least ``k`` points lie within ``M`` of ``p``.  The
+    ids — ascending positions in ``index.blocks`` — are the non-empty blocks
+    whose MINDIST from ``p`` is at most ``min(M, cutoff)``.  ``cutoff`` is how
+    Procedure 5 clips the larger select's locality to the smaller select's
+    result.
+
+    Bounds and counts are gathered for ``index.candidate_blocks(p, k)`` only,
+    so the phase costs what the locality's surroundings hold, not what the
+    relation holds.  That is exact: the candidates contain every block with
+    MAXDIST <= ``M``, which is all the prefix of the MAXDIST ordering that
+    decides ``M`` consists of (ascending ids keep its position tie-break);
+    and they contain every block with MINDIST <= ``M``, which is all the
+    MINDIST test can admit.
     """
-    order = np.lexsort((np.arange(len(maxdists)), maxdists))
-    running = np.cumsum(counts[order])
-    pos = int(np.searchsorted(running, k, side="left"))
-    if pos >= len(order):
-        return float("inf")
-    return float(maxdists[order[pos]])
+    ids = index.candidate_blocks(p, k)
+    columns = index.bound_columns
+    counts = index.block_counts
+    if len(ids) < len(counts):
+        columns = columns.take(ids, axis=1)
+        counts = counts.take(ids)
+    maxdists = kernels.point_block_maxdists(p.x, p.y, *columns)
+    order = np.argsort(maxdists, kind="stable")  # ties by position
+    crossing = int(np.searchsorted(np.cumsum(counts[order]), k, side="left"))
+    bound = float(maxdists[order[crossing]]) if crossing < len(order) else float("inf")
+    mindists = kernels.point_block_mindists(p.x, p.y, *columns)
+    return ids[(mindists <= min(bound, cutoff)) & (counts > 0)], bound
 
 
 def build_locality(index: SpatialIndex, p: Point, k: int) -> Locality:
@@ -110,22 +132,11 @@ def build_locality(index: SpatialIndex, p: Point, k: int) -> Locality:
         raise InvalidParameterError(f"k must be positive, got {k}")
     if index.num_points == 0:
         raise EmptyDatasetError("cannot build a locality over an empty index")
-
+    ids, bound = block_phase(index, p, k)
     blocks = index.blocks
-    counts = index.block_counts
-    maxdists = index.maxdists(p)
-    mindists = index.mindists(p)
-
-    # Phase 1: MAXDIST order, accumulate counts until we have k points.
-    bound = maxdist_phase_bound(counts, maxdists, k)
-
-    # Phase 2: the locality is every non-empty block with MINDIST <= bound.
-    if np.isinf(bound):
-        selected = [b for b, c in zip(blocks, counts) if c > 0]
-    else:
-        mask = (mindists <= bound) & (counts > 0)
-        selected = [blocks[i] for i in np.nonzero(mask)[0]]
-    return Locality(center=p, k=k, blocks=tuple(selected), maxdist_bound=bound)
+    return Locality(
+        center=p, k=k, blocks=tuple(blocks[i] for i in ids.tolist()), maxdist_bound=bound
+    )
 
 
 def neighborhood_from_blocks(

@@ -21,9 +21,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.exceptions import InvalidParameterError
 from repro.geometry.distance import distances_to_point
 from repro.geometry.point import Point, PointArray
+from repro.geometry.rectangle import Rect
 from repro.storage.pointstore import PointStore
 
 __all__ = ["Neighborhood"]
@@ -302,19 +304,41 @@ class Neighborhood:
     def intersection(self, other: "Neighborhood") -> list[Point]:
         """The paper's ``intersect(P, Q)``: members common to both neighborhoods.
 
-        Points are matched by ``pid`` via one vectorized ``isin`` over the pid
-        columns and returned in this neighborhood's distance order; only the
-        surviving members are materialized.
+        Members are matched by store row when both neighborhoods are lazy
+        views of one store (no pid gather), by ``pid`` otherwise — one sort
+        of ``other``'s keys and one ``searchsorted`` either way — and
+        returned in this neighborhood's distance order; only the surviving
+        members are materialized.
         """
         if not len(self._dist_arr) or not len(other._dist_arr):
             return []
-        hits = np.nonzero(np.isin(self.pid_array, other.pid_array))[0]
-        if not len(hits):
+        if self._store is not None and self._store is other._store:
+            mine, theirs = self._rows, other._rows
+        else:
+            mine, theirs = self.pid_array, other.pid_array
+        theirs = np.sort(theirs)
+        slots = np.searchsorted(theirs, mine)
+        slots[slots == len(theirs)] = 0
+        return self._materialize(np.nonzero(theirs[slots] == mine)[0])
+
+    def within(self, window: Rect) -> list[Point]:
+        """The members inside the closed ``window``, in distance order.
+
+        One ``window_mask`` over the member coordinates (gathered from the
+        store columns when lazy); only the survivors are materialized.
+        """
+        if not len(self._dist_arr):
             return []
+        xs, ys = self.coords.T
+        return self._materialize(np.nonzero(kernels.window_mask(xs, ys, *window.as_tuple()))[0])
+
+    def _materialize(self, positions: np.ndarray) -> list[Point]:
+        """The member points at ``positions``; a lazy neighborhood builds
+        only those."""
         if self._members is not None:
-            return [self._members[i] for i in hits]
+            return [self._members[i] for i in positions]
         assert self._store is not None and self._rows is not None
-        return self._store.materialize(self._rows[hits])
+        return self._store.materialize(self._rows[positions])
 
     def intersection_pids(self, other: "Neighborhood") -> frozenset[int]:
         """Identifiers common to both neighborhoods."""

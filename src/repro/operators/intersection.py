@@ -7,8 +7,9 @@ Two flavors appear in the paper:
   (unchained kNN-joins, Section 4.1), which produces triplets.
 
 Point-set intersection is columnar: when both operands are neighborhoods the
-match runs as one vectorized ``isin`` / ``intersect1d`` over their pid
-columns and only the surviving members are materialized.
+match runs as one sort + ``searchsorted`` over their store rows (pid columns
+when they do not share a store) and only the surviving members are
+materialized.
 """
 
 from __future__ import annotations

@@ -832,11 +832,10 @@ class Query:
         index = datasets[select.relation].index
         stats = PruningStats()
         neighborhood = knn_select(index, select.focal, select.k, stats=stats)
-        points = [p for p in neighborhood if predicate.window.contains_point(p)]
         return QueryResult(
             strategy="knn-select-then-range-filter",
             query_class="range-and-knn-select",
-            points=tuple(points),
+            points=tuple(neighborhood.within(predicate.window)),
             stats=stats,
         )
 

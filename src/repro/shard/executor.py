@@ -421,9 +421,7 @@ class _Coordinator:
         if cls == "range-and-knn-select":
             s, r = selects[0], ranges[0]
             nbr = self._fanout_knn(s.relation, s.focal, s.k)
-            return self._points(
-                strategy, cls, [p for p in nbr if r.window.contains_point(p)]
-            )
+            return self._points(strategy, cls, nbr.within(r.window))
         if cls == "single-join":
             j = joins[0]
             partials = self._run(self._join_tasks(j.outer, j.inner, j.k))

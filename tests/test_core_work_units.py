@@ -1,10 +1,11 @@
-"""Exact work units of the five optimized join algorithms, pinned.
+"""Exact work units of the optimized join algorithms and Procedure 5, pinned.
 
 ``PruningStats`` is the paper's cost model as the planner and the calibration
 loop see it; the other core suites only assert ``> 0`` or ``<`` on it.  Every
 number below was recorded on the per-point implementations (PR 21) *before*
 the join phases were batched, so a rewrite of how neighbourhoods are computed
-or filtered must reproduce them exactly — and the result digest (row count +
+or filtered must reproduce them exactly (the two-selects pins were recorded
+on PR 23, before the block phase was windowed) — and the result digest (row count +
 CRC of the pid rows in output order) says the rows still come out the same,
 in the same order.
 """
@@ -22,6 +23,7 @@ from repro.core.select_join.range_inner import range_inner_join_block_marking
 from repro.core.stats import PruningStats
 from repro.core.two_joins.chained import chained_joins_nested
 from repro.core.two_joins.unchained import unchained_joins_block_marking
+from repro.core.two_selects.optimized import two_knn_selects_optimized
 from repro.datagen import clustered_points, uniform_points
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
@@ -145,6 +147,38 @@ def test_unchained_block_marking_units(outer, inner):
     assert work(stats) == UNCHAINED_UNITS
     assert digest(triplets) == UNCHAINED_DIGEST
 
+
+@pytest.mark.parametrize("case", ["near", "far", "swapped", "overlapping"])
+def test_two_selects_units(inner, case):
+    """Procedure 5: the restricted locality's size and the surviving rows."""
+    f1, k1, f2, k2 = TWO_SELECTS_CASES[case]
+    stats = PruningStats()
+    points = two_knn_selects_optimized(inner, f1, k1, f2, k2, stats=stats)
+    units, expected = TWO_SELECTS_PINS[case]
+    assert work(stats) == units
+    assert (len(points), zlib.crc32(repr([p.pid for p in points]).encode())) == expected
+
+
+# -- recorded on the parent commit (PR 23), dense block phase ----------------
+TWO_SELECTS_CASES = {
+    "near": (Point(310.0, 640.0), 8, Point(330.0, 655.0), 96),
+    "far": (Point(310.0, 640.0), 8, Point(820.0, 150.0), 96),
+    # k1 > k2: the algorithm swaps the predicates, so the rows equal "near".
+    "swapped": (Point(330.0, 655.0), 96, Point(310.0, 640.0), 8),
+    "overlapping": (Point(310.0, 640.0), 40, Point(345.0, 610.0), 64),
+}
+TWO_SELECTS_PINS = {
+    "near": ({"blocks_examined": 144, "blocks_pruned": 140, "locality_blocks": 4}, (8, 4091601063)),
+    "far": ({"blocks_examined": 144, "blocks_pruned": 125, "locality_blocks": 19}, (0, 223132457)),
+    "swapped": (
+        {"blocks_examined": 144, "blocks_pruned": 140, "locality_blocks": 4},
+        (8, 4091601063),
+    ),
+    "overlapping": (
+        {"blocks_examined": 144, "blocks_pruned": 130, "locality_blocks": 14},
+        (29, 631976720),
+    ),
+}
 
 # -- recorded on the parent commit (PR 21), per-point join phases ------------
 RANGE_INNER_UNITS = {

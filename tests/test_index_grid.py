@@ -30,12 +30,14 @@ class TestConstruction:
         idx = GridIndex([Point(1, 1, 0), Point(2, 2, 1)])
         assert idx.num_blocks >= 1
 
-    def test_empty_cells_can_be_dropped(self):
-        pts = [Point(1, 1, 0), Point(99, 99, 1)]
-        dense = GridIndex(pts, cells_per_side=10, bounds=BOUNDS)
-        sparse = GridIndex(pts, cells_per_side=10, bounds=BOUNDS, keep_empty_cells=False)
-        assert dense.num_blocks == 100
-        assert sparse.num_blocks == 2
+    def test_block_id_is_the_row_major_cell_number(self):
+        """Empty cells are blocks too, so id == ``iy * side + ix`` always."""
+        idx = GridIndex([Point(1, 1, 0), Point(99, 99, 1)], cells_per_side=10, bounds=BOUNDS)
+        assert idx.num_blocks == 100
+        for position, block in enumerate(idx.blocks):
+            ix, iy = block.tag
+            assert block.block_id == position == iy * 10 + ix
+            assert idx.cell_block(ix, iy) is block
 
 
 class TestPartitioning:
@@ -76,6 +78,22 @@ class TestLocate:
     def test_locate_outside_bounds_returns_none(self):
         idx = GridIndex([Point(1, 1, 0)], cells_per_side=2, bounds=BOUNDS)
         assert idx.locate(Point(500, 500)) is None
+
+    def test_locate_finds_a_member_clamped_into_a_border_cell(self):
+        """A point beyond the declared bounds lives in the stretched border
+        cell; ``locate`` judged "outside" by the bounds and lost it."""
+        stray = Point(12.5, 3.0, 1)
+        idx = GridIndex(
+            [Point(1.0, 1.0, 0), stray], cells_per_side=5, bounds=Rect(0.0, 0.0, 10.0, 10.0)
+        )
+        block = idx.locate(stray)
+        assert block is not None
+        assert block.rect == Rect(8.0, 2.0, 12.5, 4.0)
+        assert [p.pid for p in block] == [1]
+        # The whole extent is covered; beyond it is still outside.
+        assert idx.locate(Point(12.5, 9.0)).tag == (4, 4)
+        assert idx.locate(Point(12.6, 3.0)) is None
+        assert idx.locate(Point(-0.1, 3.0)) is None
 
     def test_locate_on_max_boundary(self):
         idx = GridIndex([Point(1, 1, 0)], cells_per_side=4, bounds=BOUNDS)
