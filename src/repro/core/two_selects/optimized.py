@@ -91,7 +91,7 @@ def two_knn_selects_optimized(
     # >= k2 points within M of f2; admit the blocks with MINDIST <=
     # min(M, searchThreshold).
     block_ids, _bound = block_phase(index, focal2, k2, cutoff=search_threshold)
-    locality_blocks = [index.blocks[i] for i in block_ids.tolist()]
+    locality_blocks = [index.block(i) for i in block_ids.tolist()]
     if stats is not None:
         stats.locality_blocks += len(locality_blocks)
         stats.blocks_examined += index.num_blocks

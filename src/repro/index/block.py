@@ -10,10 +10,12 @@ The paper's algorithms rely on three pieces of per-block information:
 
 Since the columnar refactor a block does not own point objects: it holds an
 ``int32`` array of **member row indices** into its dataset's
-:class:`~repro.storage.pointstore.PointStore`.  Coordinates and pids are
-zero-copy-style gathers from the store's columns; :class:`Point` objects are
-materialized lazily (and cached) only when a caller actually iterates the
-block's points — pruned blocks never materialize anything.
+:class:`~repro.storage.pointstore.PointStore` — for an index's blocks, a
+view of the index's CSR member rows (:class:`~repro.index.base.SpatialIndex`).
+Coordinates and pids are zero-copy-style gathers from the store's columns;
+:class:`Point` objects are materialized lazily (and cached) only when a
+caller actually iterates the block's points — pruned blocks never
+materialize anything.
 """
 
 from __future__ import annotations

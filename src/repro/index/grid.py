@@ -16,12 +16,16 @@ cell arithmetic alone.
 Construction is columnar: the builder accepts a
 :class:`~repro.storage.pointstore.PointStore` (or any iterable of points,
 which it shreds into one), assigns every row to its cell with one vectorized
-pass over the coordinate columns, and hands each block an ``int32`` member-row
-array — no per-point Python objects are touched while building.
+pass over the coordinate columns, and sorts the rows by ``(cell, row)`` into
+the index's CSR membership pair — no per-point or per-cell Python object is
+built; a cell's :class:`Block` is a view cut from the pair when asked for.
+A write repairs the pair with a fixed number of whole-array operations
+(:meth:`GridIndex.repaired`).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Iterable
 
@@ -56,22 +60,6 @@ def _count_table(counts: np.ndarray, side: int) -> np.ndarray:
     table = np.zeros((side + 1, side + 1), dtype=np.int64)
     np.cumsum(np.cumsum(counts.reshape(side, side), axis=0), axis=1, out=table[1:, 1:])
     return table
-
-
-def _group_by_cell(cells: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
-    """Group aligned ``(cell_id, row)`` pairs into cell id → row array."""
-    if not len(rows):
-        return {}
-    order = np.argsort(cells, kind="stable")
-    sorted_cells = cells[order]
-    sorted_rows = rows[order]
-    boundaries = np.nonzero(np.diff(sorted_cells))[0] + 1
-    return {
-        int(sorted_cells[start]): group
-        for start, group in zip(
-            np.concatenate(([0], boundaries)), np.split(sorted_rows, boundaries)
-        )
-    }
 
 
 class GridIndex(SpatialIndex):
@@ -141,35 +129,17 @@ class GridIndex(SpatialIndex):
             )
         )
 
-        # Vectorized cell assignment over the coordinate columns.
+        # Vectorized cell assignment over the coordinate columns; a stable
+        # sort groups the rows per cell in ascending row order.  One block per
+        # cell in row-major order: block id == cell number.
         ix, iy = self._cells_of(store.xs, store.ys, bounds)
-        cell_ids = iy * self.cells_per_side + ix
-        # Stable sort groups member rows per cell while preserving the input
-        # (store) order inside each cell — identical to the per-point append
-        # order of the object-path builder.
-        order = np.argsort(cell_ids, kind="stable").astype(np.int32)
-        sorted_cells = cell_ids[order]
-        boundaries = np.nonzero(np.diff(sorted_cells))[0] + 1
-        groups = np.split(order, boundaries)
-        members_by_cell: dict[int, np.ndarray] = {
-            int(sorted_cells[start]): group
-            for start, group in zip(np.concatenate(([0], boundaries)), groups)
-        }
-
-        # One block per cell in row-major order: block id == cell number.
-        blocks = [
-            Block(
-                cy * self.cells_per_side + cx,
-                self._cell_rect(cx, cy, bounds, extent),
-                tag=(cx, cy),
-                store=store,
-                members=members_by_cell.get(cy * self.cells_per_side + cx),
-            )
-            for cy in range(self.cells_per_side)
-            for cx in range(self.cells_per_side)
-        ]
-        self._finalize(blocks, extent, store=store)
-        self._count_table = _count_table(self._block_counts, self.cells_per_side)
+        cells = iy * self.cells_per_side + ix
+        self._set_layout(store, extent, self._cell_bound_columns(bounds, extent))
+        counts = np.bincount(cells, minlength=self.cells_per_side**2)
+        self._set_membership(
+            np.argsort(cells, kind="stable").astype(np.int32), counts, row_block_ids=cells
+        )
+        self._count_table = _count_table(counts, self.cells_per_side)
 
     # ------------------------------------------------------------------
     # Cell arithmetic
@@ -179,14 +149,16 @@ class GridIndex(SpatialIndex):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``(ix, iy)`` cell assignment, clamped to the grid."""
         last = self.cells_per_side - 1
+        # ``minimum``/``maximum`` in place: what ``np.clip`` computes, without
+        # its per-call overhead (a repair assigns a few hundred rows).
         if self._cell_width > 0:
             ix = ((xs - bounds.xmin) / self._cell_width).astype(np.int64)
-            np.clip(ix, 0, last, out=ix)
+            np.maximum(np.minimum(ix, last, out=ix), 0, out=ix)
         else:
             ix = np.zeros(len(xs), dtype=np.int64)
         if self._cell_height > 0:
             iy = ((ys - bounds.ymin) / self._cell_height).astype(np.int64)
-            np.clip(iy, 0, last, out=iy)
+            np.maximum(np.minimum(iy, last, out=iy), 0, out=iy)
         else:
             iy = np.zeros(len(ys), dtype=np.int64)
         return ix, iy
@@ -201,39 +173,52 @@ class GridIndex(SpatialIndex):
             _clamped_index(y - bounds.ymin, self._cell_height, last),
         )
 
-    def _cell_rect(self, ix: int, iy: int, bounds: Rect, extent: Rect) -> Rect:
-        last = self.cells_per_side - 1
-        x0 = bounds.xmin + ix * self._cell_width
-        y0 = bounds.ymin + iy * self._cell_height
+    def _cell_bound_columns(self, bounds: Rect, extent: Rect) -> np.ndarray:
+        """The ``(4, cells)`` bound columns of every cell, in block-id order."""
+        side = self.cells_per_side
+        steps = np.arange(side, dtype=np.float64)
+        x0 = bounds.xmin + steps * self._cell_width
+        y0 = bounds.ymin + steps * self._cell_height
+        x1 = x0 + self._cell_width
+        y1 = y0 + self._cell_height
         # Border rows/columns snap to the extent: the exact bound when the
         # data lies inside it (no FP gaps), the data's reach when it does not.
-        return Rect(
-            extent.xmin if ix == 0 else x0,
-            extent.ymin if iy == 0 else y0,
-            extent.xmax if ix == last else x0 + self._cell_width,
-            extent.ymax if iy == last else y0 + self._cell_height,
+        x0[0], y0[0], x1[-1], y1[-1] = extent.xmin, extent.ymin, extent.xmax, extent.ymax
+        return np.stack(
+            (np.tile(x0, side), np.repeat(y0, side), np.tile(x1, side), np.repeat(y1, side))
         )
+
+    def _block_tag(self, block_id: int) -> tuple[int, int]:
+        iy, ix = divmod(block_id, self.cells_per_side)
+        return (ix, iy)
 
     # ------------------------------------------------------------------
     # Incremental repair
     # ------------------------------------------------------------------
     def repaired(self, store: PointStore, change: StoreChange) -> "GridIndex | None":
-        """Patch only the affected cells instead of rebuilding the grid.
+        """Patch the membership pair instead of rebuilding the grid.
 
         The grid's decomposition is a pure function of its bounds and
-        resolution, so a mutation can never force a re-split: repairing means
-        (a) dropping removed and moved-out rows from their old cells,
-        (b) renumbering surviving member rows past removal compaction with
-        one vectorized ``searchsorted`` per touched array, and (c) inserting
-        moved-in and appended rows into their destination cells in ascending
-        row order — which makes the repaired member arrays *identical* to a
-        full rebuild over ``store`` with this grid's bounds and resolution.
-        Unaffected cells keep their member arrays (no copy when nothing was
-        removed).
+        resolution, so a mutation can never force a re-split.  Repairing is a
+        fixed number of whole-array operations, whatever the number of cells:
+
+        1. the new cells of moved and appended rows (one vectorized pass);
+        2. the positions of removed and cell-crossing rows in the CSR rows —
+           found by ``searchsorted`` on the ``cell * span + row`` key, which
+           the ``(cell, row)`` order keeps sorted — deleted in one pass;
+        3. the survivors renumbered past removal compaction (one gather);
+        4. the new ``(cell, row)`` keys inserted at their ``searchsorted``
+           positions in one pass;
+        5. the counts patched with ``add.at``, and one cumsum for the offsets.
+
+        The result is *identical* to a full rebuild over ``store`` with this
+        grid's bounds and resolution.  Moves that stay in their cell leave the
+        pair as it is (shared with this index, not copied); the bound tables
+        are always shared.
 
         Declines (returns ``None``) when a new coordinate falls outside the
         grid extent — clamping it into an edge cell whose rectangle does not
-        contain it would break the MINDIST lower bound — when the index
+        contain it would break the MINDIST lower bound — or when the index
         already holds such points (its border rectangles were stretched to
         them, which a rebuild would recompute).
         """
@@ -248,89 +233,73 @@ class GridIndex(SpatialIndex):
         moved_new = change.map_rows(moved_old)
 
         placed_rows = np.concatenate((moved_new, appended))
-        if len(placed_rows):
-            px = store.xs[placed_rows]
-            py = store.ys[placed_rows]
-            inside = (
-                (px >= bounds.xmin)
-                & (px <= bounds.xmax)
-                & (py >= bounds.ymin)
-                & (py <= bounds.ymax)
-            )
-            if not inside.all():
-                return None
+        px = store.xs[placed_rows]
+        py = store.ys[placed_rows]
+        inside = (
+            (px >= bounds.xmin) & (px <= bounds.xmax) & (py >= bounds.ymin) & (py <= bounds.ymax)
+        )
+        if not inside.all():
+            return None
+        ix, iy = self._cells_of(px, py, bounds)
+        placed_cells = iy * self.cells_per_side + ix
+        moved_to = placed_cells[: len(moved_new)]
 
-        def cells(source: PointStore, rows: np.ndarray) -> np.ndarray:
-            ix, iy = self._cells_of(source.xs[rows], source.ys[rows], bounds)
-            return iy * self.cells_per_side + ix
-
-        moved_from = cells(old_store, moved_old)
-        moved_to = cells(store, moved_new)
-        crossed = moved_from != moved_to
-        drop_cells = np.concatenate((cells(old_store, removed), moved_from[crossed]))
+        old_cells = self._row_block_ids
+        crossed = old_cells[moved_old] != moved_to
         drop_rows = np.concatenate((removed, moved_old[crossed]))
-        add_cells = np.concatenate((moved_to[crossed], cells(store, appended)))
-        add_rows = np.concatenate((moved_new[crossed], appended))
+        drop_cells = old_cells[drop_rows]
+        appended_cells = placed_cells[len(moved_new) :]
+        add_cells = np.concatenate((moved_to[crossed], appended_cells))
 
-        add_by_cell = _group_by_cell(add_cells, add_rows)
+        # The per-row cell column: compact, append, overwrite the moved rows.
+        survivors = np.delete(old_cells, removed) if len(removed) else old_cells
+        cells = np.concatenate((survivors, appended_cells))
+        cells[moved_new] = moved_to
 
-        # One boolean drop bitmap over old rows plus (when rows were removed)
-        # one O(n) old→new renumber table — each block then repairs with
-        # plain gathers, no per-block sorting or set logic.
-        drop_flags = np.zeros(len(old_store), dtype=bool)
-        drop_flags[drop_rows] = True
-        dropped_cells = set(np.unique(drop_cells).tolist())
-        has_removals = len(removed) > 0
-        if has_removals:
-            removed_flags = np.zeros(len(old_store), dtype=np.int64)
-            removed_flags[removed] = 1
-            new_of_old = np.arange(len(old_store), dtype=np.int64) - np.cumsum(
-                removed_flags
+        members = self._member_rows
+        counts = self._block_counts
+        if len(drop_cells) or len(add_cells):
+            # Positions are found in the old numbering, on the key
+            # ``cell * span + row`` that the (cell, row) order keeps sorted.
+            # Renumbering past the removals keeps every cell's order, and an
+            # appended row sorts after every survivor of its cell (its key
+            # uses the row ``n_old``), so the old keys place every insertion.
+            # The keys are int32 when they fit, which halves the two passes
+            # that build and search them.
+            n_old = len(old_store)
+            span = n_old + 1
+            key_type = np.int32 if span * len(counts) <= np.iinfo(np.int32).max else np.int64
+            keys = np.repeat((self._all_block_ids * span).astype(key_type), counts) + members
+            drop_keys = (drop_cells * span + drop_rows).astype(key_type)
+            drop_at = np.sort(np.searchsorted(keys, drop_keys))
+            add_old = np.concatenate(
+                (moved_old[crossed], np.full(len(appended), n_old, dtype=np.int64))
             )
-        cps = self.cells_per_side
-        blocks: list[Block] = []
-        counts = np.empty(len(self._blocks), dtype=np.int64)
-        for cell, block in enumerate(self._blocks):  # block id == cell number
-            members = block._members
-            if cell in dropped_cells:
-                members = members[~drop_flags[members]]
-            if has_removals and len(members):
-                members = new_of_old[members].astype(np.int32)
-            adds = add_by_cell.get(cell)
-            if adds is not None:
-                members = np.sort(np.concatenate((members, adds.astype(np.int32))))
-            # Direct slot assembly: the loop runs once per cell per mutation,
-            # so even Block.__init__'s normalization is measurable overhead.
-            repaired_block = Block.__new__(Block)
-            repaired_block.block_id = block.block_id
-            repaired_block.rect = block.rect
-            repaired_block.store = store
-            repaired_block._members = members
-            repaired_block._points = None
-            repaired_block._coords = None
-            repaired_block.tag = block.tag
-            counts[cell] = len(members)
-            blocks.append(repaired_block)
+            add_keys = (add_cells * span + add_old).astype(key_type)
+            order = np.argsort(add_keys, kind="stable")
+            insert_at = np.searchsorted(keys, add_keys[order])
+            insert_at -= np.searchsorted(drop_at, insert_at)
+            kept = np.ones(len(members), dtype=bool)
+            kept[drop_at] = False
+            members = members[kept]
+            if len(removed):
+                alive = np.ones(n_old, dtype=bool)
+                alive[removed] = False
+                members = (np.cumsum(alive, dtype=np.int32) - 1)[members]
+            add_rows = np.concatenate((moved_new[crossed], appended))
+            members = np.insert(members, insert_at, add_rows[order].astype(np.int32))
+            counts = counts.copy()
+            np.add.at(counts, drop_cells, -1)
+            np.add.at(counts, add_cells, 1)
 
-        repaired = GridIndex.__new__(GridIndex)
-        SpatialIndex.__init__(repaired)
-        repaired.cells_per_side = cps
-        repaired._cell_width = self._cell_width
-        repaired._cell_height = self._cell_height
-        repaired._grid_bounds = bounds
-        # Cell rectangles are untouched by any mutation: share the bound
-        # tables with the parent index instead of re-deriving them.  Only the
-        # counts — and the summed-area table over them — are new, and both
-        # are in place before the index is handed to any reader.
-        repaired._blocks = tuple(blocks)
-        repaired._bounds = bounds
+        repaired = copy.copy(self)  # shares the bound tables and rectangles
         repaired._store = store
-        repaired._block_bounds = self._block_bounds
-        repaired._bound_columns = self._bound_columns
-        repaired._all_block_ids = self._all_block_ids
-        repaired._block_counts = counts
-        repaired._count_table = _count_table(counts, cps)
-        repaired._num_points = len(store)
+        repaired._set_membership(members, counts, row_block_ids=cells)
+        repaired._count_table = (
+            self._count_table
+            if counts is self._block_counts
+            else _count_table(counts, self.cells_per_side)
+        )
         return repaired
 
     # ------------------------------------------------------------------
@@ -346,13 +315,13 @@ class GridIndex(SpatialIndex):
         if not self.bounds.contains_point(p):
             return None
         ix, iy = self._clamped_cell(p.x, p.y)
-        return self._blocks[iy * self.cells_per_side + ix]
+        return self.block(iy * self.cells_per_side + ix)
 
     def cell_block(self, ix: int, iy: int) -> Block | None:
         """Return the block for cell ``(ix, iy)`` if it exists."""
         side = self.cells_per_side
         if 0 <= ix < side and 0 <= iy < side:
-            return self._blocks[iy * side + ix]
+            return self.block(iy * side + ix)
         return None
 
     def candidate_blocks(self, p: Point, k: int) -> np.ndarray:

@@ -133,9 +133,8 @@ def build_locality(index: SpatialIndex, p: Point, k: int) -> Locality:
     if index.num_points == 0:
         raise EmptyDatasetError("cannot build a locality over an empty index")
     ids, bound = block_phase(index, p, k)
-    blocks = index.blocks
     return Locality(
-        center=p, k=k, blocks=tuple(blocks[i] for i in ids.tolist()), maxdist_bound=bound
+        center=p, k=k, blocks=tuple(map(index.block, ids.tolist())), maxdist_bound=bound
     )
 
 

@@ -43,24 +43,28 @@ _ABSENT = object()
 
 
 def aligned_rows(
-    pids: np.ndarray, wanted: np.ndarray, order: np.ndarray | None = None
+    pids: np.ndarray,
+    wanted: np.ndarray,
+    order: np.ndarray | None = None,
+    sorted_pids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Index of each ``wanted`` pid in the ``pids`` column (``-1`` = absent).
 
     The aligned-lookup kernel shared by :meth:`PointStore.rows_aligned` and
     the stream layer's row-table maintenance: one ``searchsorted`` against
-    the sorted pid column (``order`` — the column's argsort — is computed
-    when not supplied), positions clipped so out-of-range probes compare
-    against a real element, and a hit mask filters false positives.
-    Requires ``pids`` to be duplicate-free; callers with duplicate pids must
-    use their own scan.
+    the sorted pid column (``order`` — the column's argsort — and
+    ``sorted_pids`` — ``pids[order]`` — are computed when not supplied),
+    positions clipped so out-of-range probes compare against a real element,
+    and a hit mask filters false positives.  Requires ``pids`` to be
+    duplicate-free; callers with duplicate pids must use their own scan.
     """
     out = np.full(len(wanted), -1, dtype=np.int64)
     if not len(pids) or not len(wanted):
         return out
     if order is None:
         order = np.argsort(pids)
-    sorted_pids = pids[order]
+    if sorted_pids is None:
+        sorted_pids = pids[order]
     pos = np.minimum(np.searchsorted(sorted_pids, wanted), len(sorted_pids) - 1)
     hits = sorted_pids[pos] == wanted
     out[hits] = order[pos[hits]]
@@ -94,6 +98,7 @@ class PointStore:
         "payloads",
         "_points",
         "_pid_order",
+        "_sorted_pids",
         "_payload_columns",
     )
 
@@ -122,6 +127,8 @@ class PointStore:
         #: Lazily built argsort of the pid column for O(log n) pid lookups;
         #: ``None`` until first use, ``False`` when pids are not unique.
         self._pid_order: np.ndarray | bool | None = None
+        #: ``pids[_pid_order]``, cached beside it (``None`` until then).
+        self._sorted_pids: np.ndarray | None = None
         #: Lazily built per-key payload columns: key → (int32 code per row
         #: with ``-1`` = no such attribute, distinct values by code, and
         #: hashable value → code).  See :meth:`payload_equals`.
@@ -199,9 +206,10 @@ class PointStore:
         """The cached pid-column argsort, or ``False`` when pids repeat."""
         if self._pid_order is None:
             order = np.argsort(self.pids)
-            unique = len(self.pids) < 2 or bool(
-                (np.diff(self.pids[order]) != 0).all()
-            )
+            sorted_pids = self.pids[order]
+            unique = len(self.pids) < 2 or bool((np.diff(sorted_pids) != 0).all())
+            # The sorted column first: a reader that sees the order sees it too.
+            self._sorted_pids = sorted_pids
             self._pid_order = order if unique else False
         return self._pid_order
 
@@ -222,7 +230,7 @@ class PointStore:
         order = self._ensure_pid_order()
         if order is False:
             return np.nonzero(np.isin(self.pids, wanted))[0]
-        rows = aligned_rows(self.pids, wanted, order)
+        rows = aligned_rows(self.pids, wanted, order, self._sorted_pids)
         return np.sort(rows[rows >= 0])
 
     def rows_aligned(self, pids: Iterable[int]) -> np.ndarray:
@@ -248,7 +256,7 @@ class PointStore:
                 if len(hits):
                     out[i] = int(hits[0])
             return out
-        return aligned_rows(self.pids, wanted, order)
+        return aligned_rows(self.pids, wanted, order, self._sorted_pids)
 
     # ------------------------------------------------------------------
     # Payload attribute columns
@@ -399,8 +407,8 @@ class PointStore:
         The batch-update path for in-place-style moves: only the *dirty*
         columns are copied — ``xs``/``ys`` get a copy-on-write with the moved
         rows overwritten, while the untouched ``pids`` column (and with it
-        the cached pid-order table) and the payload side-table are shared
-        with the parent store.  Row numbering is unchanged, so blocks and
+        the cached pid order and sorted pid column) and the payload
+        side-table are shared with the parent store.  Row numbering is unchanged, so blocks and
         neighborhoods that reference rows by index stay aligned; materialized
         point objects are invalidated only for the moved rows.
         """
@@ -414,7 +422,9 @@ class PointStore:
         ):
             raise GeometryError("point coordinates must be finite")
         child = PointStore(new_xs, new_ys, self.pids, self.payloads, validate=False)
-        child._pid_order = self._pid_order  # pid column unchanged
+        # The pid column is unchanged: share its order and sorted copy.
+        child._sorted_pids = self._sorted_pids
+        child._pid_order = self._pid_order
         child._payload_columns = self._payload_columns  # side-table shared
         if len(self._points) == len(self.xs):
             cache = list(self._points)

@@ -32,19 +32,31 @@ def make_dataset(n: int = 400, **kwargs) -> Dataset:
     return Dataset("d", pts, **kwargs)
 
 
+def assert_grid_equals_fresh(current: GridIndex) -> None:
+    """``current`` must equal a grid built from scratch over its store:
+    the CSR pair, the tables derived from it, and every block view."""
+    fresh = GridIndex(
+        current.store,
+        cells_per_side=current.cells_per_side,
+        bounds=current._grid_bounds,
+    )
+    assert current.num_points == fresh.num_points == len(current.store)
+    for name in ("member_rows", "offsets", "block_counts", "row_block_ids", "bound_columns"):
+        mine, built = getattr(current, name), getattr(fresh, name)
+        assert mine.dtype == built.dtype, name
+        assert np.array_equal(mine, built), name
+    assert np.array_equal(current._count_table, fresh._count_table)
+    assert current.num_blocks == fresh.num_blocks
+    for mine, built in zip(current.blocks, fresh.blocks):
+        assert (mine.block_id, mine.rect, mine.tag) == (built.block_id, built.rect, built.tag)
+        assert mine.store is current.store
+        assert np.array_equal(mine.member_ids, built.member_ids)
+
+
 def assert_blocks_match_rebuild(ds: Dataset) -> None:
     """The live (repaired) index must equal a full rebuild, block by block."""
-    current = ds.index
-    fresh = GridIndex(
-        ds.store,
-        cells_per_side=current.cells_per_side,
-        bounds=current.bounds,
-    )
-    assert current.num_points == fresh.num_points == len(ds)
-    assert np.array_equal(current.block_counts, fresh.block_counts)
-    for mine, built in zip(current.blocks, fresh.blocks):
-        assert mine.rect == built.rect
-        assert np.array_equal(mine.member_ids, built.member_ids)
+    assert ds.index.store is ds.store
+    assert_grid_equals_fresh(ds.index)
 
 
 class TestRepairCounters:
