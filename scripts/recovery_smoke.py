@@ -57,6 +57,7 @@ from repro.stream.delta import result_rows  # noqa: E402
 MARKER_BASE = 1_000_000
 CHECKPOINT_INTERVAL = 8
 ACK_FILE = "acks.txt"
+STARTUP_TIMEOUT = 60.0  # seconds a writer may take to acknowledge its first batch
 
 
 def seed_points_a() -> list[Point]:
@@ -137,6 +138,22 @@ def read_acks(root: Path) -> list[int]:
     return acks
 
 
+def wait_until_streaming(writer: subprocess.Popen, root: Path, acked_before: int,
+                         timeout: float = STARTUP_TIMEOUT) -> None:
+    """Block until ``writer`` has acknowledged a batch beyond ``acked_before``."""
+    deadline = time.monotonic() + timeout
+    while len(read_acks(root)) <= acked_before:
+        if writer.poll() is not None:
+            raise RuntimeError(
+                f"writer exited with code {writer.returncode} before its first batch"
+            )
+        if time.monotonic() > deadline:
+            writer.kill()
+            writer.wait()
+            raise RuntimeError(f"writer acknowledged no batch within {timeout:.0f} s")
+        time.sleep(0.01)
+
+
 def verify(root: Path) -> dict[str, object]:
     """Recover the root and check the three contract clauses."""
     acked = read_acks(root)
@@ -202,11 +219,17 @@ def run_parent(root: Path, iterations: int, max_delay: float, seed: int | None,
     failed = False
     for iteration in range(iterations):
         delay = rng.uniform(0.2, max_delay)
+        acked_before = len(read_acks(root))
         writer = subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--writer",
              "--root", str(root)],
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         )
+        # The kill delay counts from the writer's first acknowledged batch of
+        # this iteration, not from the spawn: start-up (imports, create or
+        # recover) takes a machine-dependent fraction of a second, and a kill
+        # inside it would interrupt no streaming work at all.
+        wait_until_streaming(writer, root, acked_before)
         time.sleep(delay)
         writer.send_signal(signal.SIGKILL)
         writer.wait()
@@ -235,7 +258,8 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=3,
                         help="kill/recover cycles to run (default 3)")
     parser.add_argument("--max-delay", type=float, default=1.5,
-                        help="max seconds before the SIGKILL (default 1.5)")
+                        help="max seconds from the writer's first batch to the SIGKILL "
+                             "(default 1.5)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for the kill-delay RNG (default: nondeterministic)")
     parser.add_argument("--report", type=Path, default=Path("RECOVERY_REPORT.json"),
