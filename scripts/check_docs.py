@@ -10,8 +10,9 @@ Two checks, both fatal on failure:
 2. **Public API docstrings** — every public module, class, function, method
    and property reachable from the ``repro.engine``, ``repro.planner``,
    ``repro.shard``, ``repro.stream``, ``repro.obs``, ``repro.durable``,
-   ``repro.kernels`` and ``repro.algebra`` packages (the serving surface
-   this repo documents in ``docs/``) must carry a docstring.
+   ``repro.kernels``, ``repro.algebra``, ``repro.locality``,
+   ``repro.index``, ``repro.operators`` and ``repro.storage`` packages (the
+   surface this repo documents in ``docs/``) must carry a docstring.
 
 Run from the repository root (CI does)::
 
@@ -38,6 +39,10 @@ DOCUMENTED_PACKAGES = (
     "repro.durable",
     "repro.kernels",
     "repro.algebra",
+    "repro.locality",
+    "repro.index",
+    "repro.operators",
+    "repro.storage",
 )
 
 #: Markdown files/directories scanned for intra-repo links.

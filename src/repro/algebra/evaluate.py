@@ -333,7 +333,7 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
 def _member_rows(store: PointStore, neighborhoods: Sequence[Neighborhood]) -> np.ndarray:
     """Rows of ``store`` holding the members of ``neighborhoods``, concatenated.
 
-    Lazy neighborhoods over ``store`` already carry them; anything else (a
+    Neighborhoods over ``store`` already carry them; anything else (a
     shard's store, a cross-shard merge) is re-addressed by pid.
     """
     if all(nbr.store is store for nbr in neighborhoods):

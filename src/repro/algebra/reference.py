@@ -7,16 +7,17 @@ parity suite (``tests/test_property_algebra_parity.py``) cross-checks two
 genuinely different implementations of the same semantics.
 
 Tie-breaking follows the library-wide neighborhood order: ascending
-``(distance, pid)`` with the distance computed by ``math.hypot`` — the same
+``(distance, pid)`` with the distance computed by ``np.hypot`` — the same
 function every index path ranks by, so two points whose squared distances
 round apart but whose distances round together tie here exactly as they do
-there.
+there (``math.hypot`` can differ from it in the last ulp).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.exceptions import UnsupportedQueryError
 from repro.geometry.point import Point
@@ -145,7 +146,7 @@ def _matches(p: Point, key: str, value: object) -> bool:
 
 
 def _dist(p: Point, q: Point) -> float:
-    return math.hypot(p.x - q.x, p.y - q.y)
+    return float(np.hypot(p.x - q.x, p.y - q.y))
 
 
 def _cell(p: Point, frame: Rect, cps: int) -> tuple[int, int]:

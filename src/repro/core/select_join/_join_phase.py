@@ -25,29 +25,18 @@ def filtered_join_pairs(
     inner_index: SpatialIndex,
     k_join: int,
     row_mask: Callable[[PointStore, np.ndarray], np.ndarray],
-    kept_members: Callable[[Neighborhood], Sequence[Point]],
 ) -> list[JoinPair]:
     """Pairs ``(e1, e2)`` with ``e2`` a k⋈-neighbor of ``e1`` that passes a filter.
 
     One ``get_knn_batch`` computes every neighborhood; ``row_mask(store,
     rows)`` then tests the store rows of *all* their members in one array
-    operation, and only the members that pass are materialized.
-    ``kept_members(neighborhood)`` is the same filter on one neighborhood's
-    points, for batches that cannot be flattened (eager neighborhoods, no
-    shared store).  Pairs come out in outer order, each outer point's in its
-    neighborhood's order.
+    operation, and only the members that pass are materialized.  Pairs come
+    out in outer order, each outer point's in its neighborhood's order.
     """
     if not outer_points:
         return []
     neighborhoods = get_knn_batch(inner_index, outer_points, k_join)
-    flat = flatten_neighborhoods(neighborhoods)
-    if flat is None:
-        return [
-            JoinPair(e1, e2)
-            for e1, neighborhood in zip(outer_points, neighborhoods)
-            for e2 in kept_members(neighborhood)
-        ]
-    store, owner, rows = flat
+    store, owner, rows = flatten_neighborhoods(neighborhoods)
     hits = np.nonzero(row_mask(store, rows))[0]
     return [
         JoinPair(outer_points[o], e2)
@@ -71,5 +60,4 @@ def join_with_selection(
         inner_index,
         k_join,
         row_mask=lambda store, rows: np.isin(store.pids[rows], selection.pid_array),
-        kept_members=lambda neighborhood: neighborhood.intersection(selection),
     )

@@ -105,7 +105,4 @@ def range_inner_join_block_marking(
         row_mask=lambda store, rows: kernels.window_mask(
             store.xs[rows], store.ys[rows], window.xmin, window.ymin, window.xmax, window.ymax
         ),
-        kept_members=lambda neighborhood: [
-            e2 for e2 in neighborhood if window.contains_point(e2)
-        ],
     )

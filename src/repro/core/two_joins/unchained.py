@@ -187,20 +187,11 @@ def unchained_joins_block_marking(
     c_points: list[Point] = []
     for block in contributing:
         c_points.extend(block.points)
-    neighborhoods = get_knn_batch(b_index, c_points, k_cb)
-    flat = flatten_neighborhoods(neighborhoods)
-    if flat is None:
-        probes = (
-            (i, b_pid)
-            for i, neighborhood in enumerate(neighborhoods)
-            for b_pid in neighborhood.pid_array.tolist()
-        )
-    else:
-        store, owner, rows = flat
-        b_pids = store.pids[rows]
-        joined = np.fromiter(ab_by_inner, dtype=np.int64, count=len(ab_by_inner))
-        hits = np.nonzero(np.isin(b_pids, joined))[0]
-        probes = zip(owner[hits].tolist(), b_pids[hits].tolist())
+    store, owner, rows = flatten_neighborhoods(get_knn_batch(b_index, c_points, k_cb))
+    b_pids = store.pids[rows]
+    joined = np.fromiter(ab_by_inner, dtype=np.int64, count=len(ab_by_inner))
+    hits = np.nonzero(np.isin(b_pids, joined))[0]
+    probes = zip(owner[hits].tolist(), b_pids[hits].tolist())
     triplets = [
         JoinTriplet(ab.outer, ab.inner, c_points[i])
         for i, b_pid in probes

@@ -89,7 +89,7 @@ class DurableEngine:
         self._replayed = registry.counter("wal_replayed_batches_total")
         self._torn_tails = registry.counter("wal_torn_tails_total")
         self._bypasses = registry.counter("durable_bypass_total")
-        registry.gauge("durable_relations", fn=lambda: len(self._durables))
+        registry.gauge("durable_relations", fn=self._durables.__len__)
         #: The crash flight recorder over the wrapped engine's bundle.
         self.flight = FlightRecorder(engine.obs)
         #: Where :meth:`record_flight` persists the flight record.

@@ -110,7 +110,7 @@ class PlanCache:
         self._evictions = make("plan_cache_evictions_total")
         self._invalidations = make("plan_cache_invalidations_total")
         if registry is not None:
-            registry.gauge("plan_cache_entries", fn=lambda: len(self._entries))
+            registry.gauge("plan_cache_entries", fn=self._entries.__len__)
 
     @property
     def hits(self) -> int:

@@ -148,7 +148,7 @@ class SpatialEngine:
         self._query_latency = registry.histogram(
             "engine_query_latency_seconds", LATENCY_BUCKETS
         )
-        registry.gauge("engine_datasets", fn=lambda: len(self._datasets))
+        registry.gauge("engine_datasets", fn=self._datasets.__len__)
 
     @property
     def queries_executed(self) -> int:

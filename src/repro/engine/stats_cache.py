@@ -58,7 +58,7 @@ class StatsCache:
         self._misses = make("stats_cache_misses_total")
         self._invalidations = make("stats_cache_invalidations_total")
         if registry is not None:
-            registry.gauge("stats_cache_entries", fn=lambda: len(self._entries))
+            registry.gauge("stats_cache_entries", fn=self._entries.__len__)
 
     @property
     def hits(self) -> int:

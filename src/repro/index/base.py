@@ -40,9 +40,11 @@ class SpatialIndex(abc.ABC):
     the vectorized per-block bound arrays, and the orderings.
     """
 
+    #: The store every member row indexes into (installed by ``_set_layout``).
+    _store: PointStore
+
     def __init__(self) -> None:
         self._bounds: Rect | None = None
-        self._store: PointStore | None = None
         self._block_bounds: np.ndarray = np.empty((0, 4), dtype=np.float64)
         self._bound_columns: np.ndarray = np.empty((4, 0), dtype=np.float64)
         self._all_block_ids: np.ndarray = np.empty(0, dtype=np.int64)
@@ -60,9 +62,7 @@ class SpatialIndex(abc.ABC):
             return points
         return PointStore.from_points(points)
 
-    def _set_layout(
-        self, store: PointStore | None, bounds: Rect, bound_columns: np.ndarray
-    ) -> None:
+    def _set_layout(self, store: PointStore, bounds: Rect, bound_columns: np.ndarray) -> None:
         """Record the store, the extent and the ``(4, num_blocks)`` block
         bound columns."""
         self._store = store
@@ -95,13 +95,12 @@ class SpatialIndex(abc.ABC):
         self._block_cache: list[Block | None] = [None] * len(counts)
         self._blocks: tuple[Block, ...] | None = None
 
-    def _finalize(
-        self, blocks: Sequence[Block], bounds: Rect, store: PointStore | None = None
-    ) -> None:
-        """Install a built block list; called once by subclass constructors.
+    def _finalize(self, blocks: Sequence[Block], bounds: Rect, store: PointStore) -> None:
+        """Install a block list built over ``store``; called once by subclass
+        constructors.
 
-        The CSR pair is the blocks' member arrays concatenated in block order;
-        when they share ``store`` each block's array becomes its slice of it.
+        The CSR pair is the blocks' member arrays concatenated in block order,
+        and each block's array becomes its slice of it.
         """
         blocks = tuple(blocks)
         self._set_layout(
@@ -116,10 +115,9 @@ class SpatialIndex(abc.ABC):
             else np.empty(0, dtype=np.int32)
         )
         self._set_membership(member_rows, counts)
-        if store is not None:
-            for position, block in enumerate(blocks):
-                if block.count:
-                    block._members = self._member_slice(position)
+        for position, block in enumerate(blocks):
+            if block.count:
+                block._members = self._member_slice(position)
         self._block_rects = [b.rect for b in blocks]
         self._block_cache = list(blocks)
         self._blocks = blocks
@@ -177,6 +175,7 @@ class SpatialIndex(abc.ABC):
 
     @property
     def num_blocks(self) -> int:
+        """Number of blocks (empty ones included)."""
         return len(self._block_counts)
 
     @property
@@ -241,12 +240,8 @@ class SpatialIndex(abc.ABC):
         return members
 
     @property
-    def store(self) -> PointStore | None:
-        """The columnar store every block's member rows index into.
-
-        ``None`` only for indexes finalized without a shared store (legacy
-        block lists built directly from point sequences).
-        """
+    def store(self) -> PointStore:
+        """The columnar store every block's member rows index into."""
         return self._store
 
     @property
@@ -257,8 +252,6 @@ class SpatialIndex(abc.ABC):
         member rows turns "which block holds this row?" into a gather.  The
         grid maintains this column itself (it is its per-row cell number).
         """
-        if self._store is None:
-            raise EmptyDatasetError("index has no shared store")
         table = self._row_block_ids
         if table is None:
             table = np.empty(len(self._store), dtype=np.int64)

@@ -20,7 +20,7 @@ materialize anything.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -42,10 +42,9 @@ class Block:
     for hashing and for per-query marks kept in external dictionaries (the
     algorithms never mutate blocks).
 
-    Two construction forms exist: the columnar form used by the index
-    builders (``store=`` + ``members=``, a row-index array into the store)
-    and the convenience form taking a sequence of :class:`Point` objects
-    (tests, ad-hoc blocks), which shreds them into a private store.
+    A block is ``store`` plus ``members``, a row-index array into the store;
+    callers holding point objects shred them with
+    :meth:`PointStore.from_points` first.
     """
 
     __slots__ = ("block_id", "rect", "store", "_members", "_points", "_coords", "tag")
@@ -54,30 +53,18 @@ class Block:
         self,
         block_id: int,
         rect: Rect,
-        points: Sequence[Point] | None = None,
+        store: PointStore,
+        members: np.ndarray,
         tag: Any = None,
-        *,
-        store: PointStore | None = None,
-        members: np.ndarray | None = None,
     ) -> None:
         self.block_id = int(block_id)
         self.rect = rect
-        if store is not None:
-            #: The columnar store the member rows index into.
-            self.store: PointStore = store
-            self._members = (
-                np.ascontiguousarray(members, dtype=np.int32)
-                if members is not None and len(members)
-                else _EMPTY_MEMBERS
-            )
-            self._points: tuple[Point, ...] | None = None
-        else:
-            pts = tuple(points) if points else ()
-            self.store = PointStore.from_points(pts)
-            self._members = (
-                np.arange(len(pts), dtype=np.int32) if pts else _EMPTY_MEMBERS
-            )
-            self._points = pts
+        #: The columnar store the member rows index into.
+        self.store = store
+        self._members = (
+            np.ascontiguousarray(members, dtype=np.int32) if len(members) else _EMPTY_MEMBERS
+        )
+        self._points: tuple[Point, ...] | None = None
         self._coords: PointArray | None = None
         #: Free-form tag used by index builders (e.g. grid cell coordinates).
         self.tag = tag
@@ -104,6 +91,7 @@ class Block:
 
     @property
     def is_empty(self) -> bool:
+        """True when the block holds no point."""
         return len(self._members) == 0
 
     @property

@@ -222,9 +222,8 @@ class GridIndex(SpatialIndex):
         already holds such points (its border rectangles were stretched to
         them, which a rebuild would recompute).
         """
-        old_store = self._store
         bounds = self._grid_bounds
-        if old_store is None or self._bounds != bounds:
+        if self._bounds != bounds:
             return None
         removed = np.asarray(change.removed_rows, dtype=np.int64)
         moved_old = np.asarray(change.moved_rows, dtype=np.int64)
@@ -266,7 +265,7 @@ class GridIndex(SpatialIndex):
             # uses the row ``n_old``), so the old keys place every insertion.
             # The keys are int32 when they fit, which halves the two passes
             # that build and search them.
-            n_old = len(old_store)
+            n_old = len(self._store)
             span = n_old + 1
             key_type = np.int32 if span * len(counts) <= np.iinfo(np.int32).max else np.int64
             keys = np.repeat((self._all_block_ids * span).astype(key_type), counts) + members

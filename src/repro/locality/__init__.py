@@ -18,7 +18,6 @@ from repro.locality.knn import (
     build_locality,
     get_knn,
     neighborhood_from_blocks,
-    neighborhood_from_blocks_object,
 )
 from repro.locality.batch import flatten_neighborhoods, get_knn_batch
 from repro.locality.brute import brute_force_knn
@@ -31,6 +30,5 @@ __all__ = [
     "get_knn_batch",
     "flatten_neighborhoods",
     "neighborhood_from_blocks",
-    "neighborhood_from_blocks_object",
     "brute_force_knn",
 ]

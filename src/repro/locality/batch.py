@@ -40,7 +40,7 @@ neighborhoods identical to per-point :func:`~repro.locality.knn.get_knn`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from repro import kernels
 from repro.exceptions import EmptyDatasetError, InvalidParameterError
 from repro.geometry.point import Point
 from repro.index.base import SpatialIndex
-from repro.locality.knn import get_knn
 from repro.locality.neighborhood import Neighborhood
 from repro.storage.pointstore import PointStore
 
@@ -90,11 +89,6 @@ def get_knn_batch(
         return []
 
     store = index.store
-    if store is None:
-        # Heterogeneous block stores: no shared columns to batch over.
-        qs = points if points is not None else [Point(float(x), float(y)) for x, y in coords]
-        return [get_knn(index, q, k) for q in qs]
-
     bounds = index.block_bounds
     bxmin, bymin, bxmax, bymax = bounds.T
     counts = index.block_counts
@@ -149,23 +143,23 @@ def get_knn_batch(
 
 def flatten_neighborhoods(
     neighborhoods: Sequence[Neighborhood],
-) -> tuple[PointStore, np.ndarray, np.ndarray] | None:
-    """The members of a batch of lazy neighborhoods as two flat columns.
+) -> tuple[PointStore, np.ndarray, np.ndarray]:
+    """The members of a batch of neighborhoods over one store as two columns.
 
     Returns ``(store, owner, rows)``: ``rows[i]`` is a member row of
     ``neighborhoods[owner[i]]`` in the shared ``store``, neighborhood after
     neighborhood, each in its ``(distance, pid)`` order (ragged lengths are
     fine).  A post-filter over a whole batch is then one array operation on
-    ``rows`` instead of one per neighborhood.  ``None`` when there is nothing
-    to share — an empty batch, eager neighborhoods (built from point objects
-    or unpickled), or neighborhoods over different stores; callers then walk
-    the neighborhood objects.
+    ``rows`` instead of one per neighborhood.  An empty batch gives empty
+    columns over an empty store; neighborhoods over different stores (which
+    no one batch produces) are rejected.
     """
     if not neighborhoods:
-        return None
+        empty = np.empty(0, dtype=np.int64)
+        return PointStore.empty(), empty, empty
     store = neighborhoods[0].store
-    if store is None or any(nbr.store is not store for nbr in neighborhoods):
-        return None
+    if any(nbr.store is not store for nbr in neighborhoods):
+        raise InvalidParameterError("neighborhoods span several stores")
     owner = np.repeat(
         np.arange(len(neighborhoods)), [len(nbr) for nbr in neighborhoods]
     )

@@ -19,12 +19,12 @@ the blocks :meth:`SpatialIndex.candidate_blocks` names — all of them by
 default, a cell window on a grid — and is shared with Procedure 5's
 restricted locality.
 
-Ranking is columnar: the locality blocks' ``int32`` member-row arrays are
-concatenated and distance + ``(distance, pid)`` ranking run as vectorized
-kernels over the store's columns; the winning rows feed a *lazy*
-:class:`Neighborhood` and no :class:`Point` object is created here.
-:func:`neighborhood_from_blocks_object` keeps the seed's object-path ranking
-as the parity oracle and as the fallback for block lists that span stores.
+Ranking is columnar: the locality blocks' ``int32`` member-row arrays (rows
+of the index's one store) are concatenated and distance + ``(distance, pid)``
+ranking run as vectorized kernels over the store's columns; the winning rows
+and their distances are the :class:`Neighborhood`, and no :class:`Point`
+object is created here.  The parity oracle is the brute-force scan of
+:func:`~repro.locality.brute.brute_force_knn`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "build_locality",
     "get_knn",
     "neighborhood_from_blocks",
-    "neighborhood_from_blocks_object",
     "rank_rows",
 ]
 
@@ -78,10 +77,12 @@ class Locality:
 
     @property
     def num_blocks(self) -> int:
+        """Number of locality blocks."""
         return len(self.blocks)
 
     @property
     def num_points(self) -> int:
+        """Number of points in the locality blocks."""
         return sum(b.count for b in self.blocks)
 
 
@@ -149,9 +150,9 @@ def neighborhood_from_blocks(
     2-kNN-select algorithm, which computes a neighborhood from a *restricted*
     locality (Procedure 5).
 
-    The blocks' member-row arrays are concatenated and ranked columnar-ly;
-    the result is a lazy neighborhood over the shared store.  Blocks backed
-    by different stores (ad-hoc block lists) fall back to the object path.
+    The blocks — all of one index, hence over one store — have their
+    member-row arrays concatenated and ranked columnar-ly; the result is a
+    neighborhood over that store.
     """
     if k <= 0:
         raise InvalidParameterError(f"k must be positive, got {k}")
@@ -160,9 +161,6 @@ def neighborhood_from_blocks(
         return Neighborhood(p, k, [], [])
 
     store = candidate_blocks[0].store
-    if any(b.store is not store for b in candidate_blocks[1:]):
-        return neighborhood_from_blocks_object(p, k, candidate_blocks)
-
     if len(candidate_blocks) == 1:
         rows = candidate_blocks[0].member_ids
     else:
@@ -190,60 +188,6 @@ def rank_rows(
     """
     sel, dists = kernels.knn_head(store.xs, store.ys, store.pids, rows, p.x, p.y, k)
     return Neighborhood.from_rows(p, k, store, sel, dists)
-
-
-def neighborhood_from_blocks_object(
-    p: Point,
-    k: int,
-    blocks: Sequence[Block],
-) -> Neighborhood:
-    """The seed's object-path ranking, kept as the parity oracle.
-
-    Iterates :class:`Point` objects and gathers pids per object — exactly the
-    pre-columnar implementation.  Used by the parity property tests (the
-    columnar path must return byte-identical ``(distance, pid)`` results) and
-    by :func:`neighborhood_from_blocks` when the blocks span several stores.
-    """
-    if k <= 0:
-        raise InvalidParameterError(f"k must be positive, got {k}")
-    candidate_blocks = [b for b in blocks if b.count > 0]
-    if not candidate_blocks:
-        return Neighborhood(p, k, [], [])
-
-    coords = np.concatenate([b.coords for b in candidate_blocks], axis=0)
-    points: list[Point] = []
-    for b in candidate_blocks:
-        points.extend(b.points)
-    diff = coords - np.array([p.x, p.y], dtype=np.float64)
-    dists = np.hypot(diff[:, 0], diff[:, 1])
-    pids = np.fromiter((pt.pid for pt in points), dtype=np.int64, count=len(points))
-
-    if len(points) > k:
-        head = k_extended(k, dists)
-        if head < len(points):
-            idx = np.argpartition(dists, head - 1)[:head]
-        else:
-            idx = np.arange(len(points))
-        idx = idx[np.lexsort((pids[idx], dists[idx]))][:k]
-    else:
-        idx = np.lexsort((pids, dists))
-    members = [points[i] for i in idx]
-    member_dists = [float(dists[i]) for i in idx]
-    return Neighborhood(p, k, members, member_dists)
-
-
-def k_extended(k: int, dists: np.ndarray) -> int:
-    """Number of head candidates to fully sort after ``argpartition``.
-
-    ``argpartition`` guarantees the ``k`` smallest distances occupy the first
-    ``k`` slots but leaves ties straddling the boundary in arbitrary order.  To
-    keep the deterministic ``(distance, pid)`` tie-break exact we widen the head
-    to include every candidate whose distance equals the k-th smallest one.
-    """
-    if len(dists) <= k:
-        return len(dists)
-    kth = np.partition(dists, k - 1)[k - 1]
-    return int((dists <= kth).sum())
 
 
 def get_knn(index: SpatialIndex, p: Point, k: int) -> Neighborhood:

@@ -6,13 +6,14 @@ deterministically.  The class exposes exactly the accessors the paper's
 pseudocode uses: ``nearest``, ``farthest``, membership tests, intersection and
 "farthest from another point" (needed by the 2-kNN-select algorithm).
 
-Since the columnar refactor a neighborhood is **lazy**: the kNN kernels build
-it from a :class:`~repro.storage.pointstore.PointStore` plus a row-index array
-and the already-computed distance array (:meth:`Neighborhood.from_rows`), and
-:class:`~repro.geometry.point.Point` objects are materialized only when a
-caller actually asks for them (the result boundary).  Algorithms that only
-need distances, pids or coordinates — thresholds, intersections, merges —
-read the arrays directly and never touch point objects.
+A neighborhood has one representation: a
+:class:`~repro.storage.pointstore.PointStore`, the member ``rows`` of it in
+``(distance, pid)`` order and their distances.  The kNN kernels build it over
+the relation's own store (:meth:`Neighborhood.from_rows`); a neighborhood
+built from point objects, merged across shards or unpickled owns a compact
+store holding just its members.  :class:`~repro.geometry.point.Point` objects
+are materialized only when a caller asks for them (the result boundary);
+thresholds, intersections and merges read the arrays directly.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class Neighborhood:
         The requested number of neighbors.  The neighborhood may contain fewer
         points when the dataset itself has fewer than ``k`` points.
     members:
-        The neighbor points, in ascending ``(distance, pid)`` order.
+        The neighbor points, in ascending ``(distance, pid)`` order (shredded
+        into a compact store whose cache hands back these very objects).
     distances:
         The distance of each member from ``center`` (same order).
     """
@@ -50,14 +52,14 @@ class Neighborhood:
     __slots__ = (
         "center",
         "k",
-        "_members",
-        "_distances",
+        "_store",
+        "_rows",
         "_dist_arr",
+        "_points",
+        "_distances",
         "_pid_arr",
         "_pid_set",
         "_coords",
-        "_store",
-        "_rows",
     )
 
     def __init__(
@@ -71,16 +73,28 @@ class Neighborhood:
             raise InvalidParameterError(f"k must be positive, got {k}")
         if len(members) != len(distances):
             raise InvalidParameterError("members and distances must have equal length")
+        self._bind(
+            center, k, PointStore.from_points(members), np.arange(len(members)), distances
+        )
+
+    def _bind(
+        self,
+        center: Point,
+        k: int,
+        store: PointStore,
+        rows: np.ndarray,
+        distances: np.ndarray | Sequence[float],
+    ) -> None:
         self.center = center
         self.k = int(k)
-        self._members: tuple[Point, ...] | None = tuple(members)
+        self._store = store
+        self._rows = np.ascontiguousarray(rows)
+        self._dist_arr = np.ascontiguousarray(distances, dtype=np.float64)
+        self._points: tuple[Point, ...] | None = None
         self._distances: tuple[float, ...] | None = None
-        self._dist_arr: np.ndarray = np.asarray(distances, dtype=np.float64)
         self._pid_arr: np.ndarray | None = None
         self._pid_set: frozenset[int] | None = None
         self._coords: PointArray | None = None
-        self._store: PointStore | None = None
-        self._rows: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -94,7 +108,7 @@ class Neighborhood:
         rows: np.ndarray,
         distances: np.ndarray,
     ) -> "Neighborhood":
-        """Build a lazy neighborhood from store rows (the columnar kNN path).
+        """Build a neighborhood from store rows (the columnar kNN path).
 
         ``rows`` are store row indices in ascending ``(distance, pid)`` order
         and ``distances`` their (already computed) distances from ``center``.
@@ -103,16 +117,7 @@ class Neighborhood:
         if k <= 0:
             raise InvalidParameterError(f"k must be positive, got {k}")
         nbr = cls.__new__(cls)
-        nbr.center = center
-        nbr.k = int(k)
-        nbr._members = None
-        nbr._distances = None
-        nbr._dist_arr = np.ascontiguousarray(distances, dtype=np.float64)
-        nbr._pid_arr = None
-        nbr._pid_set = None
-        nbr._coords = None
-        nbr._store = store
-        nbr._rows = np.ascontiguousarray(rows)
+        nbr._bind(center, k, store, rows, distances)
         return nbr
 
     @classmethod
@@ -120,26 +125,43 @@ class Neighborhood:
         """Build the neighborhood by ranking ``candidates`` around ``center``.
 
         The candidates are ranked by ``(distance, pid)`` and the top ``k`` are
-        kept.  This is the object-path reference ranking (also the seed
-        implementation's final step); the columnar kernels in
-        :mod:`repro.locality.knn` produce identical neighborhoods.
+        kept.  This is the brute-force reference ranking
+        (:func:`~repro.locality.brute.brute_force_knn`); the columnar kernels
+        in :mod:`repro.locality.knn` must produce identical neighborhoods.
+        Distances are ``np.hypot``, the function the kernels rank by
+        (``math.hypot`` can differ from it in the last ulp, which would move
+        a tie).
         """
-        ranked = sorted(
-            ((center.distance_to(p), p.pid, p) for p in candidates),
-            key=lambda t: (t[0], t[1]),
-        )[: max(k, 0)]
-        return cls(center, k, [p for _, __, p in ranked], [d for d, __, ___ in ranked])
+        store = PointStore.from_points(candidates)
+        dists = store.distances_to(center.x, center.y)
+        ranked = np.lexsort((store.pids, dists))[: max(k, 0)]
+        return cls(center, k, store.materialize(ranked), dists[ranked])
 
     def __reduce__(self):
-        """Pickle in eager form (drop the store reference).
+        """Pickle the members' columns, not the store.
 
-        Lazy neighborhoods reference their relation's whole store; results
-        shipped across process boundaries (the shard worker pool) must not
-        drag the store along, so pickling materializes the members first.
+        A neighborhood over a relation's store must not drag the whole store
+        across a process boundary (the shard worker pool): pickling ships
+        the members' ``xs``/``ys``/``pids`` arrays, their payloads and the
+        distances, and unpickling builds a compact store from them.
         """
+        store, rows = self._store, self._rows
+        payloads = store.payloads
+        if payloads:
+            payloads = {
+                i: payloads[row] for i, row in enumerate(rows.tolist()) if row in payloads
+            }
         return (
             _rebuild_neighborhood,
-            (self.center, self.k, self.points, self.distances),
+            (
+                self.center,
+                self.k,
+                store.xs[rows],
+                store.ys[rows],
+                store.pids[rows],
+                payloads,
+                self._dist_arr,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -148,10 +170,9 @@ class Neighborhood:
     @property
     def points(self) -> tuple[Point, ...]:
         """The neighbors in ascending distance order (materialized lazily)."""
-        if self._members is None:
-            assert self._store is not None and self._rows is not None
-            self._members = tuple(self._store.materialize(self._rows))
-        return self._members
+        if self._points is None:
+            self._points = tuple(self._store.materialize(self._rows))
+        return self._points
 
     @property
     def distances(self) -> tuple[float, ...]:
@@ -169,28 +190,18 @@ class Neighborhood:
     def pid_array(self) -> np.ndarray:
         """Member pids as an int64 array (no materialization)."""
         if self._pid_arr is None:
-            if self._store is not None and self._rows is not None:
-                self._pid_arr = self._store.pids[self._rows]
-            else:
-                members = self._members or ()
-                self._pid_arr = np.fromiter(
-                    (p.pid for p in members), dtype=np.int64, count=len(members)
-                )
+            self._pid_arr = self._store.pids[self._rows]
         return self._pid_arr
 
     @property
-    def store(self) -> PointStore | None:
-        """The store :attr:`rows` index into (``None`` for eager neighborhoods)."""
+    def store(self) -> PointStore:
+        """The store :attr:`rows` index into (the relation's own, or a
+        compact one holding just the members)."""
         return self._store
 
     @property
-    def rows(self) -> np.ndarray | None:
-        """Member row indices into :attr:`store`, in ``(distance, pid)`` order.
-
-        ``None`` for eager neighborhoods (built from point objects, merged
-        across shards, or unpickled) — identify their members by
-        :attr:`pid_array` instead.
-        """
+    def rows(self) -> np.ndarray:
+        """Member row indices into :attr:`store`, in ``(distance, pid)`` order."""
         return self._rows
 
     @property
@@ -213,10 +224,7 @@ class Neighborhood:
         return self._member_at(len(self._dist_arr) - 1)
 
     def _member_at(self, i: int) -> Point:
-        """One member point, materializing only that row when still lazy."""
-        if self._members is not None:
-            return self._members[i]
-        assert self._store is not None and self._rows is not None
+        """One member point (only that row is materialized)."""
         return self._store.point_at(int(self._rows[i]))
 
     @property
@@ -260,14 +268,7 @@ class Neighborhood:
     def coords(self) -> PointArray:
         """Member coordinates as an ``(n, 2)`` array (lazily gathered)."""
         if self._coords is None:
-            if self._store is not None and self._rows is not None:
-                self._coords = self._store.coords(self._rows)
-            elif self._members:
-                self._coords = np.array(
-                    [(p.x, p.y) for p in self._members], dtype=np.float64
-                )
-            else:
-                self._coords = np.empty((0, 2), dtype=np.float64)
+            self._coords = self._store.coords(self._rows)
         return self._coords
 
     def distance_to_nearest_member(self, q: Point) -> float:
@@ -304,15 +305,15 @@ class Neighborhood:
     def intersection(self, other: "Neighborhood") -> list[Point]:
         """The paper's ``intersect(P, Q)``: members common to both neighborhoods.
 
-        Members are matched by store row when both neighborhoods are lazy
-        views of one store (no pid gather), by ``pid`` otherwise — one sort
-        of ``other``'s keys and one ``searchsorted`` either way — and
-        returned in this neighborhood's distance order; only the surviving
-        members are materialized.
+        Members are matched by store row when both neighborhoods are over one
+        store (no pid gather), by ``pid`` otherwise (a shard's store against
+        the base store, say) — one sort of ``other``'s keys and one
+        ``searchsorted`` either way — and returned in this neighborhood's
+        distance order; only the surviving members are materialized.
         """
         if not len(self._dist_arr) or not len(other._dist_arr):
             return []
-        if self._store is not None and self._store is other._store:
+        if self._store is other._store:
             mine, theirs = self._rows, other._rows
         else:
             mine, theirs = self.pid_array, other.pid_array
@@ -325,7 +326,7 @@ class Neighborhood:
         """The members inside the closed ``window``, in distance order.
 
         One ``window_mask`` over the member coordinates (gathered from the
-        store columns when lazy); only the survivors are materialized.
+        store columns); only the survivors are materialized.
         """
         if not len(self._dist_arr):
             return []
@@ -333,11 +334,7 @@ class Neighborhood:
         return self._materialize(np.nonzero(kernels.window_mask(xs, ys, *window.as_tuple()))[0])
 
     def _materialize(self, positions: np.ndarray) -> list[Point]:
-        """The member points at ``positions``; a lazy neighborhood builds
-        only those."""
-        if self._members is not None:
-            return [self._members[i] for i in positions]
-        assert self._store is not None and self._rows is not None
+        """The member points at ``positions`` (only those are materialized)."""
         return self._store.materialize(self._rows[positions])
 
     def intersection_pids(self, other: "Neighborhood") -> frozenset[int]:
@@ -351,7 +348,15 @@ class Neighborhood:
 
 
 def _rebuild_neighborhood(
-    center: Point, k: int, members: tuple[Point, ...], distances: tuple[float, ...]
+    center: Point,
+    k: int,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    pids: np.ndarray,
+    payloads: dict,
+    distances: np.ndarray,
 ) -> Neighborhood:
-    """Unpickle helper: rebuild an eager neighborhood (see ``__reduce__``)."""
-    return Neighborhood(center, k, members, distances)
+    """Unpickle helper: a neighborhood over a compact store of its members
+    (see ``__reduce__``)."""
+    store = PointStore(xs, ys, pids, payloads, validate=False)
+    return Neighborhood.from_rows(center, k, store, np.arange(len(pids)), distances)

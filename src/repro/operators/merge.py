@@ -19,7 +19,8 @@ duplicates.
 
 The re-rank itself is columnar: partial neighborhoods expose their
 ``(distance, pid)`` columns as arrays, the merge stacks them and runs one
-``np.lexsort``, and only the k winners are materialized as points.
+``np.lexsort``, and the winners' columns are gathered from the parts' stores
+— no point object is built.
 
 See ``docs/operators.md`` for the full border-expansion argument and
 :mod:`repro.shard` for the execution layer built on these primitives.
@@ -55,8 +56,12 @@ def merge_neighborhoods(
     over one shard of the relation.  The merged result is identical to the
     neighborhood computed over the unsharded relation: the partials'
     ``(distance, pid)`` columns are stacked and ranked with one ``np.lexsort``
-    — the library's deterministic tie-break — and the first ``k`` are kept
-    (only those k members are materialized).
+    — the library's deterministic tie-break — and the first ``k`` are kept.
+
+    When every winner comes from one part they are a prefix of its rows (a
+    part is in ``(distance, pid)`` order), and the result is a slice of that
+    part over its store.  Otherwise the winners' columns and payloads are
+    gathered from the parts' stores into a compact store of their own.
     """
     if k <= 0:
         raise InvalidParameterError(f"k must be positive, got {k}")
@@ -68,11 +73,22 @@ def merge_neighborhoods(
     order = kernels.merge_topk(dists, pids, k)
     offsets = np.cumsum([0] + [len(nbr) for nbr in parts])
     part_of = np.searchsorted(offsets, order, side="right") - 1
-    members = [
-        parts[part]._member_at(int(g - offsets[part]))
-        for g, part in zip(order.tolist(), part_of.tolist())
-    ]
-    return Neighborhood(center, k, members, dists[order])
+    if (part_of == part_of[0]).all():
+        part = parts[part_of[0]]
+        return Neighborhood.from_rows(
+            center, k, part.store, part.rows[: len(order)], part.distance_array[: len(order)]
+        )
+    xs = np.concatenate([nbr.store.xs[nbr.rows] for nbr in parts])[order]
+    ys = np.concatenate([nbr.store.ys[nbr.rows] for nbr in parts])[order]
+    payloads = {}
+    if any(nbr.store.payloads for nbr in parts):
+        for i, (g, part) in enumerate(zip(order.tolist(), part_of.tolist())):
+            store = parts[part].store
+            payload = store.payloads.get(int(parts[part].rows[g - offsets[part]]))
+            if payload is not None:
+                payloads[i] = payload
+    store = PointStore(xs, ys, pids[order], payloads, validate=False)
+    return Neighborhood.from_rows(center, k, store, np.arange(len(order)), dists[order])
 
 
 def merge_pid_partials(store: PointStore, partials: Iterable[np.ndarray]) -> np.ndarray:

@@ -20,23 +20,15 @@ import numpy as np
 
 from repro import kernels
 from repro.core.stats import PruningStats
-from repro.exceptions import EmptyDatasetError, InvalidParameterError
+from repro.exceptions import InvalidParameterError
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index.base import SpatialIndex
 from repro.index.block import Block
-from repro.storage.pointstore import PointStore
 
 __all__ = ["range_select", "range_select_rows", "radius_select", "radius_select_rows"]
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
-
-
-def _shared_store(index: SpatialIndex) -> PointStore:
-    store = index.store
-    if store is None:
-        raise EmptyDatasetError("index has no shared store")
-    return store
 
 
 def _member_rows(blocks: list[Block]) -> np.ndarray:
@@ -63,7 +55,7 @@ def range_select_rows(
     rows = _member_rows(blocks)
     if not len(rows):
         return rows
-    store = _shared_store(index)
+    store = index.store
     mask = kernels.window_mask(
         store.xs[rows], store.ys[rows], window.xmin, window.ymin, window.xmax, window.ymax
     )
@@ -80,7 +72,7 @@ def range_select(
     rows = range_select_rows(index, window, stats)
     if not len(rows):
         return []
-    return _shared_store(index).materialize(rows)
+    return index.store.materialize(rows)
 
 
 def radius_select_rows(index: SpatialIndex, center: Point, radius: float) -> np.ndarray:
@@ -96,7 +88,7 @@ def radius_select_rows(index: SpatialIndex, center: Point, radius: float) -> np.
     rows = _member_rows(index.blocks_within(center, radius))
     if not len(rows):
         return rows
-    store = _shared_store(index)
+    store = index.store
     dx = store.xs[rows] - center.x
     dy = store.ys[rows] - center.y
     near = kernels.ball_mask(dx, dy, radius * radius * (1.0 + kernels.HEAD_SLACK))
@@ -111,4 +103,4 @@ def radius_select(index: SpatialIndex, center: Point, radius: float) -> list[Poi
     rows = radius_select_rows(index, center, radius)
     if not len(rows):
         return []
-    return _shared_store(index).materialize(rows)
+    return index.store.materialize(rows)

@@ -15,7 +15,11 @@ per-shard kNN answer is only a *candidate set*.  The search here is exact:
    distance — no point of that shard (or any later one) can displace a
    current candidate.  Ties are safe: a shard at MINDIST *equal* to the
    bound is still visited, so the deterministic pid tie-break sees every
-   point at the boundary distance.
+   point at the boundary distance.  The bound is widened by the relative
+   ``_BOUND_SLACK`` of :mod:`repro.shard.batch`: the shard MINDIST here is
+   ``math.hypot`` and the kernels' point distances ``np.hypot``, which can
+   disagree in the last ulp, so an unwidened test could prune a shard
+   holding a point tied at the bound.
 
 Because each shard's top-k contains every member of the global top-k that
 lives in that shard (restriction can only improve a point's rank), the merged
@@ -36,6 +40,7 @@ from repro.locality.knn import get_knn
 from repro.locality.neighborhood import Neighborhood
 from repro.operators.merge import merge_neighborhoods, merge_pid_partials
 from repro.operators.range_select import range_select_rows
+from repro.shard.batch import _BOUND_SLACK
 from repro.shard.dataset import ShardedDataset
 
 __all__ = ["sharded_knn", "sharded_range_rows", "sharded_range_select"]
@@ -73,10 +78,12 @@ def sharded_knn(sharded: ShardedDataset, p: Point, k: int) -> Neighborhood:
     # Fast path: the nearest shard satisfies k and no other shard's extent
     # reaches its k-th distance — the per-shard answer IS the global answer
     # (a shard tied exactly at the bound must still be visited for the pid
-    # tie-break, hence only strictly farther shards are pruned).
+    # tie-break, hence only strictly farther shards are pruned; the bound is
+    # slack-widened against ulp differences between the two hypots).
+    widen = 1.0 + _BOUND_SLACK
     first = order[0]
     nbr = get_knn(datasets[first].index, p, k)
-    bound = nbr.farthest_distance if len(nbr) >= k else float("inf")
+    bound = nbr.farthest_distance * widen if len(nbr) >= k else float("inf")
     rest = [i for i in order[1:] if mindists[i] <= bound]
     if not rest:
         return nbr
@@ -97,7 +104,7 @@ def sharded_knn(sharded: ShardedDataset, p: Point, k: int) -> Neighborhood:
         count += len(other)
         if count >= k:
             stacked = np.concatenate([part.distance_array for part in parts])
-            bound = float(np.partition(stacked, k - 1)[k - 1])
+            bound = float(np.partition(stacked, k - 1)[k - 1]) * widen
     return merge_neighborhoods(p, k, parts)
 
 

@@ -137,10 +137,12 @@ class StreamEngine:
             "stream_push_latency_seconds", LATENCY_BUCKETS
         )
         self._delta_rows = registry.histogram("stream_delta_rows", SIZE_BUCKETS)
-        registry.gauge("stream_subscriptions", fn=lambda: len(self._subs))
+        # Gauges bind the (never reassigned) container, not ``self``: a
+        # closure over ``self`` would make the engine a reference cycle.
+        subs = self._subs
+        registry.gauge("stream_subscriptions", fn=subs.__len__)
         registry.gauge(
-            "stream_stale_subscriptions",
-            fn=lambda: sum(1 for s in self._subs.values() if s.stale),
+            "stream_stale_subscriptions", fn=lambda: sum(1 for s in subs.values() if s.stale)
         )
         engine.add_mutation_listener(self._on_engine_mutation)
 

@@ -59,5 +59,9 @@ def test_docstring_check_covers_the_serving_surface():
         "repro.durable",
         "repro.kernels",
         "repro.algebra",
+        "repro.locality",
+        "repro.index",
+        "repro.operators",
+        "repro.storage",
     }
     assert module.check_docstrings() == []

@@ -4,9 +4,7 @@ Every optimized algorithm must return a list *equal* to its conceptual plan —
 same rows, same order — on the inputs where a flattened ``(owner, row)``
 filter is easiest to get wrong: neighbours on the window edge, ragged
 neighbourhoods, distance ties, nothing matching, empty and fully pruned
-blocks, shared B points, and indexes without a shared store (the object
-fallback).  Each scenario runs over store-backed grids and over the same
-blocks rebuilt from point lists.
+blocks, and shared B points.  Each scenario runs over store-backed grids.
 """
 
 from __future__ import annotations
@@ -27,10 +25,9 @@ from repro.core.two_joins.unchained import (
     unchained_joins_block_marking,
 )
 from repro.datagen import clustered_points, uniform_points
+from repro.exceptions import InvalidParameterError
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.index.base import SpatialIndex
-from repro.index.block import Block
 from repro.index.grid import GridIndex
 from repro.locality.batch import flatten_neighborhoods, get_knn_batch
 from repro.locality.knn import get_knn
@@ -39,29 +36,12 @@ from repro.operators.results import JoinTriplet
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
 
-class ObjectIndex(SpatialIndex):
-    """The blocks of ``source`` rebuilt from point lists: ``store is None``.
-
-    Every block then owns a private store, so kNN answers are eager
-    neighbourhoods and nothing can be flattened.
-    """
-
-    def __init__(self, source: SpatialIndex) -> None:
-        super().__init__()
-        self._finalize(
-            [Block(b.block_id, b.rect, b.points) for b in source.blocks], source.bounds
-        )
-
-    def locate(self, p: Point) -> Block | None:
-        return next((b for b in self.blocks if b.rect.contains_point(p)), None)
-
-
-FORMS = {"store": lambda index: index, "object": ObjectIndex}
+FORMS = {"store": lambda index: index}
 
 
 @pytest.fixture(params=list(FORMS))
 def form(request):
-    """Index wrapper: the store-backed grid itself, or its object rebuild."""
+    """Index wrapper: the store-backed grid itself (every index has a store)."""
     return FORMS[request.param]
 
 
@@ -207,8 +187,9 @@ def test_flatten_neighborhoods_contract():
     assert store is index.store
     assert owner.tolist() == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 9  # ragged tail
     assert rows.tolist() == [r for nbr in neighborhoods for r in nbr.rows.tolist()]
-    # Nothing to share: an empty batch, eager members, or two different stores.
-    assert flatten_neighborhoods([]) is None
-    assert flatten_neighborhoods(get_knn_batch(ObjectIndex(index), queries, 4)) is None
+    # An empty batch is empty columns; two different stores do not flatten.
+    _store, owner, rows = flatten_neighborhoods([])
+    assert owner.tolist() == rows.tolist() == []
     other = get_knn_batch(grid(uniform_points(9, BOUNDS, seed=310)), queries, 4)
-    assert flatten_neighborhoods(neighborhoods + other) is None
+    with pytest.raises(InvalidParameterError):
+        flatten_neighborhoods(neighborhoods + other)

@@ -13,6 +13,7 @@ from repro.index.orderings import (
     mindist_ordering,
     ordering_from_distances,
 )
+from repro.storage.pointstore import PointStore
 
 
 def _blocks() -> list[Block]:
@@ -23,7 +24,8 @@ def _blocks() -> list[Block]:
         Rect(5, 5, 6, 6),
         Rect(10, 10, 11, 11),
     ]
-    return [Block(i, r, [Point(r.xmin, r.ymin, i)]) for i, r in enumerate(rects)]
+    store = PointStore.from_points([Point(r.xmin, r.ymin, i) for i, r in enumerate(rects)])
+    return [Block(i, r, store, np.array([i])) for i, r in enumerate(rects)]
 
 
 class TestMindistOrdering:
@@ -79,7 +81,7 @@ class TestLazinessAndTies:
 
     def test_ties_broken_by_block_id(self):
         rect = Rect(0, 0, 1, 1)
-        blocks = [Block(i, rect) for i in (3, 1, 2)]
+        blocks = [Block(i, rect, PointStore.empty(), np.empty(0)) for i in (3, 1, 2)]
         order = [bd.block.block_id for bd in mindist_ordering(blocks, Point(0.5, 0.5))]
         assert order == [1, 2, 3]
 

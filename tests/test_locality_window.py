@@ -249,7 +249,8 @@ class TestColumnarSelectTails:
         return store, GridIndex(store, cells_per_side=6, bounds=BOUNDS)
 
     def eager(self, nbr: Neighborhood) -> Neighborhood:
-        """The same neighbourhood without its store (as a shard merge builds it)."""
+        """The same neighbourhood over a compact store of its own (as a
+        cross-shard merge or an unpickled result is)."""
         return Neighborhood(nbr.center, nbr.k, nbr.points, nbr.distances)
 
     def by_pid(self, first: Neighborhood, second: Neighborhood) -> list[int]:
@@ -314,4 +315,4 @@ class TestColumnarSelectTails:
         nbr = get_knn(index, Point(5.0, 5.0), 200)
         survivors = nbr.within(Rect(4.5, 4.5, 5.5, 5.5))
         assert 0 < len(survivors) < 200
-        assert nbr._members is None  # the neighbourhood itself stayed lazy
+        assert nbr._points is None  # the neighbourhood itself stayed lazy

@@ -1,9 +1,9 @@
-"""Property tests: columnar execution is byte-identical to the object path.
+"""Property tests: columnar execution is byte-identical to brute force.
 
 The columnar PointStore backbone must not change a single result: for every
 query class the store-column kernels have to return exactly the
-``(distance, pid)``-ordered answers of the seed's object representation
-(kept in the tree as :func:`neighborhood_from_blocks_object`).  The data
+``(distance, pid)``-ordered answers of a brute-force scan over point objects
+(:func:`~repro.locality.brute.brute_force_knn` over the index's points).  The data
 strategies cover uniform and clustered distributions and — by drawing
 coordinates from a small integer lattice — dense duplicate-coordinate tie
 cases, where only the deterministic pid tie-break separates candidates.
@@ -11,7 +11,7 @@ cases, where only the deterministic pid tie-break separates candidates.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.select_join.block_marking import select_join_block_marking
 from repro.core.select_join.counting import select_join_counting
@@ -25,7 +25,8 @@ from repro.index.grid import GridIndex
 from repro.index.quadtree import QuadtreeIndex
 from repro.index.rtree import RTreeIndex
 from repro.locality.batch import get_knn_batch
-from repro.locality.knn import build_locality, get_knn, neighborhood_from_blocks_object
+from repro.locality.brute import brute_force_knn
+from repro.locality.knn import get_knn
 from repro.locality.neighborhood import Neighborhood
 from repro.operators.intersection import intersect_pairs_on_inner
 from repro.operators.results import JoinPair, JoinTriplet, pair_key, triplet_key
@@ -80,9 +81,9 @@ def build_index(draw_kind: str, pts, cells: int) -> SpatialIndex:
 INDEX_KINDS = st.sampled_from(["grid", "quadtree", "rtree"])
 
 
-def object_get_knn(index: SpatialIndex, p: Point, k: int) -> Neighborhood:
-    """The seed representation's getkNN: locality + object-path ranking."""
-    return neighborhood_from_blocks_object(p, k, build_locality(index, p, k).blocks)
+def reference_knn(index: SpatialIndex, p: Point, k: int) -> Neighborhood:
+    """getkNN by brute force: every indexed point ranked by ``(distance, pid)``."""
+    return brute_force_knn(index.points(), p, k)
 
 
 def assert_same_neighborhood(columnar: Neighborhood, reference: Neighborhood) -> None:
@@ -104,10 +105,10 @@ def assert_same_neighborhood(columnar: Neighborhood, reference: Neighborhood) ->
     k=st.integers(min_value=1, max_value=20),
 )
 def test_single_select_parity(pts, kind, cells, qx, qy, k):
-    """get_knn and get_knn_batch equal the object path, ties included."""
+    """get_knn and get_knn_batch equal brute force, ties included."""
     index = build_index(kind, pts, cells)
     q = Point(qx, qy)
-    reference = object_get_knn(index, q, k)
+    reference = reference_knn(index, q, k)
     assert_same_neighborhood(get_knn(index, q, k), reference)
     (batched,) = get_knn_batch(index, [q], k)
     assert_same_neighborhood(batched, reference)
@@ -127,11 +128,11 @@ def test_single_select_parity(pts, kind, cells, qx, qy, k):
     k2=st.integers(min_value=1, max_value=12),
 )
 def test_two_selects_parity(pts, kind, cells, f1, f2, k1, k2):
-    """2-kNN-select equals the object-path conceptual plan."""
+    """2-kNN-select equals the brute-force conceptual plan."""
     index = build_index(kind, pts, cells)
     p1, p2 = Point(*f1), Point(*f2)
-    nbr1 = object_get_knn(index, p1, k1)
-    nbr2 = object_get_knn(index, p2, k2)
+    nbr1 = reference_knn(index, p1, k1)
+    nbr2 = reference_knn(index, p2, k2)
     reference = sorted(
         (p for p in nbr1 if p.pid in nbr2.pids), key=lambda p: p.pid
     )
@@ -142,12 +143,12 @@ def test_two_selects_parity(pts, kind, cells, f1, f2, k1, k2):
 # ----------------------------------------------------------------------
 # Select-join strategies (Counting, Block-Marking)
 # ----------------------------------------------------------------------
-def object_select_join(outer, inner_index, focal, k_join, k_select) -> list[JoinPair]:
-    """The seed's conceptually-correct plan, entirely on the object path."""
-    selection = object_get_knn(inner_index, focal, k_select)
+def reference_select_join(outer, inner_index, focal, k_join, k_select) -> list[JoinPair]:
+    """The conceptually-correct plan over brute-force neighborhoods."""
+    selection = reference_knn(inner_index, focal, k_select)
     pairs = []
     for e1 in outer:
-        nbr = object_get_knn(inner_index, e1, k_join)
+        nbr = reference_knn(inner_index, e1, k_join)
         pairs.extend(JoinPair(e1, e2) for e2 in nbr if e2.pid in selection.pids)
     return pairs
 
@@ -162,12 +163,12 @@ def object_select_join(outer, inner_index, focal, k_join, k_select) -> list[Join
     k_select=st.integers(min_value=1, max_value=8),
 )
 def test_select_join_parity(outer, inner, cells, focal, k_join, k_select):
-    """Counting and Block-Marking equal the object-path baseline."""
+    """Counting and Block-Marking equal the brute-force baseline."""
     outer_index = GridIndex(outer, cells_per_side=cells)
     inner_index = GridIndex(inner, cells_per_side=cells)
     f = Point(*focal)
     reference = sorted(
-        object_select_join(outer, inner_index, f, k_join, k_select), key=pair_key
+        reference_select_join(outer, inner_index, f, k_join, k_select), key=pair_key
     )
     counting = select_join_counting(
         Dataset("outer", outer).store, inner_index, f, k_join, k_select
@@ -190,13 +191,13 @@ def test_select_join_parity(outer, inner, cells, focal, k_join, k_select):
     k_bc=st.integers(min_value=1, max_value=4),
 )
 def test_chained_joins_parity(a, b, c, cells, k_ab, k_bc):
-    """Nested chained joins (cached and not) equal the object path."""
+    """Nested chained joins (cached and not) equal brute force."""
     b_index = GridIndex(b, cells_per_side=cells)
     c_index = GridIndex(c, cells_per_side=cells)
     reference = []
     for pa in a:
-        for pb in object_get_knn(b_index, pa, k_ab):
-            for pc in object_get_knn(c_index, pb, k_bc):
+        for pb in reference_knn(b_index, pa, k_ab):
+            for pc in reference_knn(c_index, pb, k_bc):
                 reference.append(JoinTriplet(pa, pb, pc))
     assert chained_joins_nested(a, b_index, c_index, k_ab, k_bc, cache=True) == reference
     assert chained_joins_nested(a, b_index, c_index, k_ab, k_bc, cache=False) == reference
@@ -212,11 +213,11 @@ def test_chained_joins_parity(a, b, c, cells, k_ab, k_bc):
     k_cb=st.integers(min_value=1, max_value=4),
 )
 def test_unchained_joins_parity(a, b, c, cells, k_ab, k_cb):
-    """Procedure 4 equals the object-path ∩B plan."""
+    """Procedure 4 equals the brute-force ∩B plan."""
     b_index = GridIndex(b, cells_per_side=cells)
     c_index = GridIndex(c, cells_per_side=cells)
-    ab = [JoinPair(pa, pb) for pa in a for pb in object_get_knn(b_index, pa, k_ab)]
-    cb = [JoinPair(pc, pb) for pc in c for pb in object_get_knn(b_index, pc, k_cb)]
+    ab = [JoinPair(pa, pb) for pa in a for pb in reference_knn(b_index, pa, k_ab)]
+    cb = [JoinPair(pc, pb) for pc in c for pb in reference_knn(b_index, pc, k_cb)]
     reference = sorted(intersect_pairs_on_inner(ab, cb), key=triplet_key)
     got = unchained_joins_block_marking(a, c_index, b_index, k_ab, k_cb)
     assert sorted(got, key=triplet_key) == reference
@@ -234,18 +235,30 @@ def test_unchained_joins_parity(a, b, c, cells, k_ab, k_cb):
     qy=UNIFORM,
     k=st.integers(min_value=1, max_value=25),
 )
+@example(  # math.hypot shard MINDIST vs np.hypot k-th distance: a last-ulp tie
+    pts=[Point(0.0, 0.0, 0), Point(0.0, 0.0, 1), Point(0.0, 0.0, 2), Point(3.0, 5.0, 3),
+         Point(4.0, 0.0, 4), Point(4.0, 0.0, 5), Point(5.0, 3.0, 6), Point(6.0, 0.0, 7)],
+    num_shards=3,
+    strategy="sample",
+    qx=221.59566637927202,
+    qy=221.59566637927202,
+    k=1,
+)
 def test_sharded_knn_parity(pts, num_shards, strategy, qx, qy, k):
-    """Cross-shard kNN equals the object path over the unsharded relation.
+    """Cross-shard kNN equals brute force over the unsharded relation.
 
     ``k`` may exceed a shard's population — the border expansion must then
-    widen across shards and still merge to the exact global answer.
+    widen across shards and still merge to the exact global answer.  The
+    explicit example is a query whose shard MINDIST and k-th distance differ
+    only in the last ulp; an unwidened pruning test dropped the shard that
+    holds the tie-break winner.
     """
     monolithic = GridIndex(pts, cells_per_side=4)
     sharded = ShardedDataset(
         Dataset("rel", pts), num_shards=num_shards, strategy=strategy
     )
     q = Point(qx, qy)
-    reference = object_get_knn(monolithic, q, k)
+    reference = reference_knn(monolithic, q, k)
     got = sharded_knn(sharded, q, k)
     assert got.distances == reference.distances
     assert [p.pid for p in got] == [p.pid for p in reference]
@@ -272,5 +285,5 @@ def test_extend_matches_rebuilt_dataset(base, extra, k, qx, qy):
     assert extended.points == rebuilt.points
     q = Point(qx, qy)
     assert_same_neighborhood(
-        get_knn(extended.index, q, k), object_get_knn(rebuilt.index, q, k)
+        get_knn(extended.index, q, k), reference_knn(rebuilt.index, q, k)
     )
